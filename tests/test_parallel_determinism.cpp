@@ -6,7 +6,6 @@
 // configurations exercising both transport paths.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,32 +20,19 @@ namespace {
 
 constexpr int kThreadSweep[] = {2, 4, 8};
 
-/// Full serialization of everything a cell produces: RunStats (every field,
-/// via the canonical JSON encoder) plus the per-lock LAP scores.
-std::string fingerprint(const harness::ExperimentResult& r) {
-  std::ostringstream os;
-  os << harness::to_json(r.stats).dump();
-  for (const auto& [lock, s] : r.lap_scores) {
-    os << "|" << lock << ":" << s.acquire_events << "," << s.lap.predictions
-       << "," << s.lap.hits << "," << s.waitq.hits << ","
-       << s.waitq_affinity.hits << "," << s.waitq_virtualq.hits;
-  }
-  return os.str();
-}
-
 void expect_parallel_matches_sequential(const std::string& protocol,
                                         const std::string& app,
                                         const SystemParams& params,
                                         std::uint64_t seed) {
   const auto seq = harness::run_experiment(protocol, app, apps::Scale::kSmall,
                                            params, seed);
-  const std::string want = fingerprint(seq);
+  const std::string want = result_fingerprint(seq);
   for (int threads : kThreadSweep) {
     const auto par = harness::run_experiment(protocol, app, apps::Scale::kSmall,
                                              params, seed,
                                              /*wall_timeout_sec=*/0.0,
                                              /*recorder=*/nullptr, threads);
-    EXPECT_EQ(fingerprint(par), want)
+    EXPECT_EQ(result_fingerprint(par), want)
         << protocol << "/" << app << " with " << threads << " engine threads";
   }
 }
@@ -156,7 +142,7 @@ TEST(ParallelDeterminismShape, MoreThreadsThanNodes) {
   const auto par =
       harness::run_experiment("AEC", "IS", apps::Scale::kSmall, p, 42, 0.0,
                               nullptr, /*engine_threads=*/16);
-  EXPECT_EQ(fingerprint(par), fingerprint(seq));
+  EXPECT_EQ(result_fingerprint(par), result_fingerprint(seq));
 }
 
 // The parallel engine replays the sequential seq numbering, so the events

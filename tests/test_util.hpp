@@ -2,8 +2,11 @@
 // parameter presets, and run helpers covering all three protocol suites.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,8 @@
 #include "dsm/app.hpp"
 #include "dsm/system.hpp"
 #include "erc/protocol.hpp"
+#include "harness/json_out.hpp"
+#include "harness/runner.hpp"
 #include "policy/instance.hpp"
 #include "tmk/protocol.hpp"
 
@@ -78,5 +83,29 @@ inline RunStats run_protocol(dsm::App& app, const std::string& which,
 }
 
 inline const char* kAllProtocols[] = {"AEC", "AEC-noLAP", "TreadMarks", "Munin-ERC"};
+
+/// Full serialization of everything a cell produces — RunStats (every
+/// field, via the canonical JSON encoder) plus the per-lock LAP scores of
+/// every predictor column: the unit of the byte-identity contract.
+inline std::string result_fingerprint(const harness::ExperimentResult& r) {
+  std::ostringstream os;
+  os << harness::to_json(r.stats).dump();
+  for (const auto& [lock, s] : r.lap_scores) {
+    os << "|" << lock << ":" << s.acquire_events << "," << s.lap.predictions
+       << "," << s.lap.hits << "," << s.waitq.hits << ","
+       << s.waitq_affinity.hits << "," << s.waitq_virtualq.hits;
+  }
+  return os.str();
+}
+
+/// 64-bit FNV-1a, for pinning fingerprints as short constants.
+inline std::uint64_t fnv1a64(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 }  // namespace aecdsm::test

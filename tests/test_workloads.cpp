@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,18 +34,6 @@ std::vector<std::string> test_corpus() {
       "syn:mixed/fan6/seed23",
       "syn:read-mostly/cs512/fan1/seed31",
   };
-}
-
-/// Full serialization of everything a cell produces (the byte-identity
-/// contract's unit of comparison).
-std::string result_fingerprint(const harness::ExperimentResult& r) {
-  std::ostringstream os;
-  os << harness::to_json(r.stats).dump();
-  for (const auto& [lock, s] : r.lap_scores) {
-    os << "|" << lock << ":" << s.acquire_events << "," << s.lap.predictions
-       << "," << s.lap.hits;
-  }
-  return os.str();
 }
 
 struct ConformanceCase {
