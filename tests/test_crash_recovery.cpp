@@ -167,6 +167,59 @@ TEST(CrashRecoveryAec, LapPushTargetCrashFallsBackLazily) {
       << "no traffic ever hit the crashed NIC";
 }
 
+// Nested locks under a manager crash (Munin-ERC). Request serials are
+// minted per (node, lock), so the outer and inner acquires of one nested
+// iteration carry the same serial. A duplicate grant of the outer lock —
+// the crashed manager's original racing its successor's rebuild — must not
+// be taken for the inner lock's grant: the node would then enter the inner
+// critical section while another node owns it. Even pids nest lock 2
+// inside lock 1 (manager = the crashed node 1); odd pids contend for lock 2
+// alone, so a false inner grant loses their updates.
+TEST(CrashRecoveryErc, NestedLocksTakeOnlyTheirOwnGrant) {
+  constexpr int kIters = 20;
+  auto run = [&](const SystemParams& params) {
+    dsm::SharedArray<std::uint32_t> counters;
+    LambdaApp app(
+        "crash_nested", 4096,
+        [&](dsm::Machine& m) {
+          counters = dsm::SharedArray<std::uint32_t>::alloc(m, 2);
+        },
+        [&](dsm::Context& ctx) {
+          const bool nest = ctx.pid() % 2 == 0;
+          for (int i = 0; i < kIters; ++i) {
+            if (nest) {
+              ctx.lock(1);
+              counters.put(ctx, 0, counters.get(ctx, 0) + 1);
+            }
+            ctx.lock(2);
+            counters.put(ctx, 1, counters.get(ctx, 1) + 1);
+            ctx.unlock(2);
+            if (nest) ctx.unlock(1);
+            ctx.compute(5000);
+          }
+          ctx.barrier();
+          if (ctx.pid() == 0) {
+            const auto n = static_cast<std::uint32_t>(kIters * ctx.nprocs());
+            app.set_ok(counters.get(ctx, 0) == n / 2 && counters.get(ctx, 1) == n);
+          }
+        });
+    return run_protocol(app, "Munin-ERC", params);
+  };
+  const RunStats base = run(small_params(4));
+  ASSERT_TRUE(base.result_valid);
+  // Node 1 (manager of lock 1) down for the eighth of the run from 3/8:
+  // the window where the pre-fix requester took the outer lock's rebuilt
+  // grant for the inner one and released a lock it never owned.
+  SystemParams p = small_params(4);
+  p.faults.retransmit_timeout_cycles = 5000;
+  p.faults.crashes.push_back({/*node=*/1, /*at_cycle=*/base.finish_time * 3 / 8,
+                              /*cycles=*/base.finish_time / 8});
+  const RunStats crashed = run(p);
+  EXPECT_TRUE(crashed.result_valid)
+      << "nested critical sections lost updates through the failover";
+  EXPECT_GE(crashed.recovery.failovers, 1u);
+}
+
 // Multiple crash windows on distinct nodes in one run.
 TEST(CrashRecoveryMulti, TwoCrashesSameRun) {
   CounterProgram prog(/*iters=*/30);
