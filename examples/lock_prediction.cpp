@@ -7,8 +7,8 @@
 //   ./build/examples/lock_prediction
 #include <cstdio>
 
-#include "aec/lap.hpp"
 #include "common/rng.hpp"
+#include "policy/lap.hpp"
 
 using namespace aecdsm;
 
@@ -26,7 +26,7 @@ void show_set(const char* label, const std::vector<ProcId>& set) {
 
 int main() {
   constexpr int kProcs = 8;
-  aec::LockLap lap(kProcs, /*update_set_size=*/2, /*affinity_threshold=*/0.6);
+  policy::LockLap lap(kProcs, /*update_set_size=*/2, /*affinity_threshold=*/0.6);
   Rng rng(2026);
 
   // A migratory token: processors 2 and 5 exchange the lock most of the
@@ -61,7 +61,7 @@ int main() {
   show_set("update set U(p6):", lap.compute_update_set(6));
 
   std::printf("\nmeasured success of each technique on the history so far:\n");
-  const aec::LapScores& s = lap.scores();
+  const policy::LapScores& s = lap.scores();
   std::printf("  LAP             %5.1f%%\n", s.lap.rate() * 100.0);
   std::printf("  waitQ           %5.1f%%\n", s.waitq.rate() * 100.0);
   std::printf("  waitQ+affinity  %5.1f%%\n", s.waitq_affinity.rate() * 100.0);

@@ -9,10 +9,18 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "dsm/system.hpp"
-#include "locks/discipline.hpp"
 #include "trace/recorder.hpp"
 
 namespace aecdsm::aec {
+
+namespace {
+// AEC's lock-message shapes: requests and notices feed the LAP predictor
+// (x4 / x2 list elements of service), grants carry the holder map, the
+// update set and the push announcement.
+constexpr policy::LockWire kLockWire{/*notice_svc=*/2, /*request_svc=*/4,
+                                     /*grant_bytes=*/32, /*grant_svc=*/2,
+                                     /*handoff_svc=*/4};
+}  // namespace
 
 // kCtl, trace_page() and trace_word() are inherited from the policy engine
 // (policy/engine.hpp), which hoisted them out of the three protocols.
@@ -23,7 +31,7 @@ namespace aecdsm::aec {
   } while (0)
 
 AecProtocol::AecProtocol(dsm::Machine& m, ProcId self, std::shared_ptr<AecShared> shared)
-    : policy::PolicyEngine(m, self, shared->policy),
+    : policy::LockManagerEngine(m, self, shared->policy, shared->locks, kLockWire),
       sh_(std::move(shared)),
       pages_(m.num_pages()) {
   interest_.assign((m.num_pages() + 7) / 8, 0);
@@ -404,12 +412,7 @@ void AecProtocol::write_twin_discipline(PageId pg) {
 // Locks
 // --------------------------------------------------------------------------
 
-void AecProtocol::acquire_notice(LockId l) {
-  const ProcId mgr = m_.lock_manager(l);
-  send_from_app(mgr, kCtl, m_.params().list_processing_per_elem * 2,
-                [this, l, p = self_, mgr] { mgr_handle_notice(l, p, mgr); },
-                sim::Bucket::kSynch);
-}
+void AecProtocol::acquire_notice(LockId l) { send_notice(l); }
 
 void AecProtocol::acquire(LockId l) {
   const auto& params = m_.params();
@@ -419,28 +422,7 @@ void AecProtocol::acquire(LockId l) {
   ll.cs_holders.clear();
   ll.my_update_set.clear();
 
-  const ProcId mgr = m_.lock_manager(l);
-  std::uint64_t serial = 0;
-  if (crash_scheduled()) {
-    serial = next_op_serial(l);
-    ll.awaiting_serial = serial;
-    ll.cur_serial = serial;
-    // The replay rides the engine (a NIC-autonomous re-send to the
-    // re-elected manager); the app thread is blocked inside this very
-    // acquire and must not be charged again.
-    ll.req_op_id = track_mgr_op(
-        l, mgr, serial, [this, l, serial](ProcId nm) {
-          m_.post(self_, nm, kCtl, m_.params().list_processing_per_elem * 4,
-                  [this, l, p = self_, serial, nm] {
-                    mgr_handle_request(l, p, serial, nm);
-                  });
-        });
-  }
-  send_from_app(mgr, kCtl, params.list_processing_per_elem * 4,
-                [this, l, p = self_, serial, mgr] {
-                  mgr_handle_request(l, p, serial, mgr);
-                },
-                sim::Bucket::kSynch);
+  send_request(l);
 
   // Overlap the wait for the grant: first apply already-received pushes to
   // valid pages, then flush outside modifications into diffs (§3.2).
@@ -487,7 +469,7 @@ void AecProtocol::acquire(LockId l) {
   }
 
   const ProcId last = ll.grant_last_releaser;
-  AECDSM_DEBUG("p" << self_ << " granted l" << l << " counter=" << ll.grant_counter
+  AECDSM_DEBUG("p" << self_ << " granted l" << l << " counter=" << granted_counter(l)
                    << " last=" << last << " push_valid=" << llocal(l).push_valid
                    << " push_from=" << llocal(l).push_from
                    << " holders=" << ll.cs_holders.size());
@@ -557,13 +539,6 @@ void AecProtocol::acquire(LockId l) {
     ll.expect_push = false;
   }
 
-  if (sh_->strategy == aecdsm::locks::Strategy::kMcs) {
-    // Links chained behind past tenures were consumed (or superseded by a
-    // manager-path grant that raced the LINK); only the current tenure's
-    // link — possibly not arrived yet — can still matter.
-    ll.mcs_links.erase(ll.mcs_links.begin(),
-                       ll.mcs_links.lower_bound(ll.grant_counter));
-  }
   ll.grant_processed = true;
   owned_this_step_.insert(l);
   cs_stack_.push_back(l);
@@ -647,7 +622,7 @@ void AecProtocol::release(LockId l) {
     for (const auto& [pg, d] : *payload) bytes += 8 + d.encoded_bytes();
     for (const ProcId q : ll.my_update_set) {
       if (q == self_) continue;
-      const std::uint32_t counter = ll.grant_counter;
+      const std::uint32_t counter = granted_counter(l);
       push_from_app(q, bytes, params.list_processing_per_elem * payload->size(),
                     [this, q, l, counter, ep = episode_, payload] {
                       peer(q).recv_push(l, self_, counter, ep, payload);
@@ -656,98 +631,41 @@ void AecProtocol::release(LockId l) {
     }
   }
 
-  // 4. Hand the lock back to the manager with the merged page list, and
-  //    remember the same list for the barrier arrival report (the barrier
-  //    manager routes diffs from arrival reports so that releases still in
-  //    flight cannot skew the routing).
+  // 4. Hand the lock on with the merged page list, and remember the same
+  //    list for the barrier arrival report (the barrier manager routes
+  //    diffs from arrival reports so that releases still in flight cannot
+  //    skew the routing).
   std::vector<PageId> pages;
   pages.reserve(ll.merged.size());
   for (const auto& [pg, d] : ll.merged) pages.push_back(pg);
-  release_info_[l] = ArrivalLockInfo{l, ll.grant_counter, pages};
-  const ProcId mgr = m_.lock_manager(l);
-
-  // mcs: when the manager linked a successor behind this tenure, hand the
-  // lock to it directly — one point-to-point message carrying the release
-  // page list plus the grant payload (the successor reads the holder map
-  // from the shared record; the bytes model the grant delta it would have
-  // received from the manager). Runs as an exclusive event because the
-  // successor performs the manager-record bookkeeping on its own node.
-  // Disabled under a crash schedule: handoffs then stay on the manager path
-  // the failover chain replays.
-  if (sh_->strategy == aecdsm::locks::Strategy::kMcs && !crash_scheduled()) {
-    if (auto lit = ll.mcs_links.find(ll.grant_counter); lit != ll.mcs_links.end()) {
-      const ProcId succ = lit->second;
-      ll.mcs_links.erase(lit);
-      send_from_app(succ, kCtl + 8 * pages.size() + 32 + 12 * pages.size(),
-                    params.list_processing_per_elem * (pages.size() + 4),
-                    [this, l, p = self_, pages, ep = episode_, succ] {
-                      peer(succ).recv_direct_handoff(l, p, pages, ep);
-                    },
-                    sim::Bucket::kSynch, /*exclusive=*/true);
-      auto sit = std::find(cs_stack_.rbegin(), cs_stack_.rend(), l);
-      AECDSM_CHECK(sit != cs_stack_.rend());
-      cs_stack_.erase(std::next(sit).base());
-      return;
-    }
-  }
-
-  const std::uint64_t serial = crash_scheduled() ? ll.cur_serial : 0;
-  if (serial != 0) {
-    // The release op stays tracked until the manager's crash-gated
-    // confirmation lands; a manager crash replays it to the successor so
-    // the FIFO hand-off is not lost with the crashed node.
-    track_mgr_op(l, mgr, serial,
-                 [this, l, pages, ep = episode_, serial](ProcId nm) {
-                   m_.post(self_, nm, kCtl + 8 * pages.size(),
-                           m_.params().list_processing_per_elem * (pages.size() + 2),
-                           [this, l, p = self_, pages, ep, serial, nm] {
-                             mgr_handle_release(l, p, pages, ep, serial, nm);
-                           });
-                 });
-  }
-  send_from_app(mgr, kCtl + 8 * pages.size(),
-                params.list_processing_per_elem * (pages.size() + 2),
-                [this, l, p = self_, pages, ep = episode_, serial, mgr] {
-                  mgr_handle_release(l, p, pages, ep, serial, mgr);
-                },
-                sim::Bucket::kSynch);
+  release_info_[l] = ArrivalLockInfo{l, granted_counter(l), pages};
+  send_release(l, std::move(pages), episode_);
 
   auto it = std::find(cs_stack_.rbegin(), cs_stack_.rend(), l);
   AECDSM_CHECK(it != cs_stack_.rend());
   cs_stack_.erase(std::next(it).base());
 }
 
-void AecProtocol::recv_grant(LockId l, ProcId last_releaser, std::uint32_t counter,
-                             std::uint32_t release_counter,
-                             std::map<PageId, ProcId> cs_holders,
-                             std::vector<ProcId> update_set, bool in_update_set,
-                             std::uint64_t serial) {
+void AecProtocol::on_grant(LockId l, policy::Grant g) {
   LockLocal& ll = llocal(l);
-  if (crash_scheduled()) {
-    // Only the grant answering the outstanding request counts: duplicates
-    // (the pre-crash manager's original racing the successor's rebuild, or
-    // a resend triggered by a bounced stale request) are dropped.
-    if (serial != ll.awaiting_serial) {
-      AECDSM_DEBUG("p" << self_ << " drops grant l" << l << " serial=" << serial
-                       << " awaiting=" << ll.awaiting_serial);
-      return;
-    }
-    ll.awaiting_serial = 0;
-    clear_mgr_op(ll.req_op_id);
-    ll.req_op_id = 0;
-  }
-  ll.grant_last_releaser = last_releaser;
-  ll.grant_counter = counter;
-  ll.grant_release_counter = release_counter;
-  ll.cs_holders = std::move(cs_holders);
-  ll.my_update_set = std::move(update_set);
+  ll.grant_last_releaser = g.last_releaser;
+  ll.grant_release_counter = g.release_counter;
+  ll.cs_holders = std::move(g.holders);
+  ll.my_update_set = std::move(g.update_set);
   // A push is announced; if it already arrived the grant path confirms it,
   // otherwise faults on the releaser's pages wait for it.
   ll.expect_push =
-      in_update_set && !(ll.push_valid && ll.push_from == last_releaser &&
-                         ll.push_counter == release_counter);
+      g.in_update_set && !(ll.push_valid && ll.push_from == g.last_releaser &&
+                           ll.push_counter == g.release_counter);
   ll.grant_ready = true;
   proc().poke();
+}
+
+void AecProtocol::on_predict(LockId l, ProcId at, std::size_t update_set_size) {
+  if (trace::Recorder* tr = m_.recorder()) {
+    tr->instant(at, trace::Category::kLap, trace::names::kLapPredict,
+                m_.engine().now(), "lock", l, "update_set", update_set_size);
+  }
 }
 
 void AecProtocol::fold_push(LockLocal& ll) {
@@ -799,309 +717,6 @@ void AecProtocol::recv_push(LockId l, ProcId from, std::uint32_t counter,
     fold_push(ll);
   }
   proc().poke();
-}
-
-void AecProtocol::recv_mcs_link(LockId l, std::uint32_t pred_counter, ProcId succ) {
-  // Store unconditionally: tenure counters are globally unique per lock, so
-  // only the tenure whose grant carries `pred_counter` ever consumes this
-  // entry. A link landing after its tenure already released the manager way
-  // (the REL raced the LINK) goes stale and is pruned at the next grant.
-  AECDSM_DEBUG("p" << self_ << " mcs link l" << l << " pred_counter="
-                   << pred_counter << " succ=p" << succ);
-  llocal(l).mcs_links[pred_counter] = succ;
-}
-
-void AecProtocol::recv_direct_handoff(LockId l, ProcId releaser,
-                                      std::vector<PageId> pages,
-                                      std::uint32_t episode) {
-  const ProcId mgr = m_.lock_manager(l);
-  LockRecord& rec = sh_->lock(l, mgr);
-  AECDSM_DEBUG("p" << self_ << " direct handoff l" << l << " from p" << releaser
-                   << " counter=" << rec.counter);
-  // The releaser's LINK promised this node is the exact FIFO successor of
-  // its tenure — true by construction in crash-free runs (mcs handoffs are
-  // disabled under a crash schedule). Validate against the shared record
-  // anyway and degrade to a plain manager-path release on any mismatch.
-  if (!(rec.taken && rec.owner == releaser && rec.lap.has_waiters() &&
-        rec.lap.waiting().front() == self_)) {
-    if (sh_->collect_lock_stats()) {
-      ++sh_->lockstats[static_cast<std::size_t>(self_)].fallback_rels;
-    }
-    m_.post(self_, mgr, kCtl + 8 * pages.size(),
-            m_.params().list_processing_per_elem * (pages.size() + 2),
-            [this, l, releaser, pages, episode, mgr] {
-              mgr_handle_release(l, releaser, pages, episode, /*serial=*/0, mgr);
-            });
-    return;
-  }
-
-  // The manager-release half of mgr_handle_release, performed here — this
-  // runs as an exclusive event, so mutating the manager's shard from the
-  // successor's node is safe.
-  if (episode >= rec.epoch) {
-    rec.last_releaser = releaser;
-    rec.last_release_counter = rec.counter;
-    for (const PageId pg : pages) rec.diff_holder[pg] = releaser;
-  }
-  const ProcId to = rec.lap.dequeue_waiter();
-  AECDSM_CHECK(to == self_);
-
-  // The mgr_grant half, minus the reply message: this node IS the grantee.
-  rec.owner = self_;  // rec.taken stays true across the handoff
-  ++rec.counter;
-  std::vector<ProcId> u =
-      policy::lap_score_grant(rec.lap, rec.last_releaser, self_);
-  rec.update_set[static_cast<std::size_t>(self_)] = u;
-  if (trace::Recorder* tr = m_.recorder()) {
-    tr->instant(self_, trace::Category::kLap, trace::names::kLapPredict,
-                m_.engine().now(), "lock", l, "update_set", u.size());
-    tr->instant(self_, trace::Category::kLock, trace::names::kLockHandoff,
-                m_.engine().now(), "lock", l, "from",
-                static_cast<std::uint64_t>(releaser));
-  }
-  bool in_update_set = false;
-  if (pol_.lap_pushes() && rec.last_releaser != kNoProc &&
-      rec.last_releaser != self_) {
-    const auto& lu =
-        rec.update_set[static_cast<std::size_t>(rec.last_releaser)];
-    in_update_set = std::find(lu.begin(), lu.end(), self_) != lu.end();
-  }
-  if (sh_->collect_lock_stats()) {
-    aecdsm::locks::note_grant(sh_->lockstats[static_cast<std::size_t>(self_)],
-                              m_.params(), releaser, self_,
-                              rec.lap.waiting_count(), /*direct_handoff=*/true,
-                              /*skipped_head=*/false);
-  }
-  trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
-                rec.lap.waiting_count());
-  recv_grant(l, rec.last_releaser, rec.counter, rec.last_release_counter,
-             rec.diff_holder, std::move(u), in_update_set, /*serial=*/0);
-}
-
-// --------------------------------------------------------------------------
-// Lock manager (runs as services on the lock's manager node)
-// --------------------------------------------------------------------------
-
-void AecProtocol::mgr_handle_request(LockId l, ProcId requester,
-                                     std::uint64_t serial, ProcId mgr_at) {
-  const ProcId mgr = m_.lock_manager(l);
-  if (mgr != mgr_at) {
-    // A failover re-elected the manager after this message left: forward
-    // one hop. The record now lives in the new manager's shard, which only
-    // that node's worker may touch.
-    m_.post(mgr_at, mgr, kCtl, m_.params().list_processing_per_elem,
-            [this, l, requester, serial, mgr] {
-              mgr_handle_request(l, requester, serial, mgr);
-            });
-    return;
-  }
-  LockRecord& rec = sh_->lock(l, mgr);
-  AECDSM_DEBUG("mgr req l" << l << " from p" << requester << " serial=" << serial
-                           << " taken=" << rec.taken << " owner=" << rec.owner);
-  if (serial != 0) {
-    // Crash-failover dedup (serials are only minted under a crash schedule).
-    auto gt = rec.granted_serial.find(requester);
-    if (gt != rec.granted_serial.end() && serial <= gt->second) {
-      // The tenure this request started was already granted. If the
-      // requester still owns the lock its grant was lost with the crashed
-      // manager (or raced it): rebuild the reply idempotently. Otherwise
-      // the tenure completed and this is a stale replay — drop it. A fresh
-      // serial from the current owner (its release still in flight behind
-      // this request) falls through and queues like any other waiter.
-      if (serial == gt->second && rec.taken && rec.owner == requester) {
-        AECDSM_DEBUG("mgr req l" << l << " rebuild lost grant p" << requester);
-        mgr_send_grant(l, rec, requester);
-      } else {
-        AECDSM_DEBUG("mgr req l" << l << " drop stale p" << requester
-                                 << " serial=" << serial);
-      }
-      return;
-    }
-    if (rec.lap.waiting_contains(requester)) {
-      AECDSM_DEBUG("mgr req l" << l << " p" << requester << " already queued");
-      return;
-    }
-    rec.req_serial[requester] = serial;
-  }
-  rec.lap.count_acquire_event();
-  if (rec.taken) {
-    if (sh_->strategy == aecdsm::locks::Strategy::kMcs && !crash_scheduled()) {
-      // MCS: link the new waiter behind its queue predecessor so the
-      // predecessor's release can hand the lock over point-to-point. Grants
-      // are strict FIFO under mcs, so the predecessor's tenure counter is
-      // known here: the current owner holds rec.counter and the i-th queued
-      // waiter (1-based) will hold rec.counter + i. Disabled under a crash
-      // schedule — handoffs then stay on the manager path the PR 9 failover
-      // chain covers.
-      const bool queue_empty = !rec.lap.has_waiters();
-      const ProcId pred = queue_empty ? rec.owner : rec.lap.waiting().back();
-      const std::uint32_t pred_counter =
-          rec.counter + static_cast<std::uint32_t>(rec.lap.waiting_count());
-      m_.post(mgr, pred, kCtl, m_.params().list_processing_per_elem,
-              [this, l, pred, pred_counter, requester] {
-                peer(pred).recv_mcs_link(l, pred_counter, requester);
-              });
-      if (sh_->collect_lock_stats()) {
-        ++sh_->lockstats[static_cast<std::size_t>(mgr)].link_messages;
-      }
-    }
-    rec.lap.enqueue_waiter(requester);
-  } else {
-    mgr_grant(l, requester);
-    if (sh_->collect_lock_stats()) {
-      aecdsm::locks::note_grant(sh_->lockstats[static_cast<std::size_t>(mgr)],
-                                m_.params(), kNoProc, requester,
-                                rec.lap.waiting_count(), /*direct_handoff=*/false,
-                                /*skipped_head=*/false);
-    }
-  }
-  trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
-                rec.lap.waiting_count());
-}
-
-void AecProtocol::mgr_grant(LockId l, ProcId to) {
-  LockRecord& rec = sh_->lock(l, m_.lock_manager(l));
-  AECDSM_DEBUG("mgr grant l" << l << " -> p" << to);
-  rec.taken = true;
-  rec.owner = to;
-  ++rec.counter;
-  std::vector<ProcId> u = policy::lap_score_grant(rec.lap, rec.last_releaser, to);
-  rec.update_set[static_cast<std::size_t>(to)] = std::move(u);
-  if (trace::Recorder* tr = m_.recorder()) {
-    tr->instant(m_.lock_manager(l), trace::Category::kLap,
-                trace::names::kLapPredict, m_.engine().now(), "lock", l,
-                "update_set", rec.update_set[static_cast<std::size_t>(to)].size());
-  }
-  if (crash_scheduled()) rec.granted_serial[to] = rec.req_serial[to];
-  mgr_send_grant(l, rec, to);
-}
-
-void AecProtocol::mgr_send_grant(LockId l, LockRecord& rec, ProcId to) {
-  // Is the acquirer in the last releaser's update set (i.e., is a push of
-  // the merged diffs on its way)?
-  bool in_update_set = false;
-  if (pol_.lap_pushes() && rec.last_releaser != kNoProc &&
-      rec.last_releaser != to) {
-    const auto& lu = rec.update_set[static_cast<std::size_t>(rec.last_releaser)];
-    in_update_set = std::find(lu.begin(), lu.end(), to) != lu.end();
-  }
-
-  std::uint64_t serial = 0;
-  if (auto it = rec.granted_serial.find(to); it != rec.granted_serial.end()) {
-    serial = it->second;
-  }
-  const ProcId mgr = m_.lock_manager(l);
-  const std::size_t bytes = kCtl + 32 + rec.diff_holder.size() * 12;
-  const Cycles svc = m_.params().list_processing_per_elem * (rec.diff_holder.size() + 2);
-  m_.post(mgr, to, bytes, svc,
-          [this, l, to, last = rec.last_releaser, counter = rec.counter,
-           rel_counter = rec.last_release_counter, holders = rec.diff_holder,
-           u = rec.update_set[static_cast<std::size_t>(to)], in_update_set,
-           serial]() mutable {
-            peer(to).recv_grant(l, last, counter, rel_counter, std::move(holders),
-                                std::move(u), in_update_set, serial);
-          });
-}
-
-void AecProtocol::mgr_handle_release(LockId l, ProcId releaser,
-                                     std::vector<PageId> pages,
-                                     std::uint32_t episode, std::uint64_t serial,
-                                     ProcId mgr_at) {
-  const ProcId mgr = m_.lock_manager(l);
-  if (mgr != mgr_at) {
-    m_.post(mgr_at, mgr, kCtl + 8 * pages.size(),
-            m_.params().list_processing_per_elem,
-            [this, l, releaser, pages, episode, serial, mgr] {
-              mgr_handle_release(l, releaser, pages, episode, serial, mgr);
-            });
-    return;
-  }
-  LockRecord& rec = sh_->lock(l, mgr);
-  if (serial != 0) {
-    auto& last_rel = rec.released_serial[releaser];
-    if (serial <= last_rel) {
-      // Replayed or bounced duplicate of a processed release; re-confirm so
-      // the releaser's pending op clears even when the first ack raced a
-      // crash window.
-      mgr_send_release_ack(l, releaser, serial);
-      return;
-    }
-    last_rel = serial;
-  }
-  AECDSM_CHECK_MSG(rec.taken && rec.owner == releaser,
-                   "release of lock " << l << " by non-owner p" << releaser);
-  AECDSM_DEBUG("mgr release l" << l << " by p" << releaser << " pages=" << pages.size()
-                               << " counter=" << rec.counter << " ep=" << episode);
-  if (episode >= rec.epoch) {
-    // Releases from before the last barrier reset carry stale chain data.
-    rec.last_releaser = releaser;
-    rec.last_release_counter = rec.counter;
-    for (const PageId pg : pages) rec.diff_holder[pg] = releaser;
-  }
-  rec.taken = false;
-  rec.owner = kNoProc;
-  if (rec.lap.has_waiters()) {
-    const aecdsm::locks::Pick pick =
-        aecdsm::locks::pick_waiter(rec.lap.waiting(), sh_->strategy, releaser,
-                                   m_.params(), rec.hier_streak);
-    const ProcId to = rec.lap.dequeue_waiter_at(pick.index);
-    mgr_grant(l, to);
-    if (sh_->collect_lock_stats()) {
-      aecdsm::locks::note_grant(sh_->lockstats[static_cast<std::size_t>(mgr)],
-                                m_.params(), releaser, to,
-                                rec.lap.waiting_count(), /*direct_handoff=*/false,
-                                pick.skipped_head);
-    }
-  }
-  trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
-                rec.lap.waiting_count());
-  if (serial != 0) mgr_send_release_ack(l, releaser, serial);
-}
-
-void AecProtocol::mgr_send_release_ack(LockId l, ProcId releaser,
-                                       std::uint64_t serial) {
-  // Crash-schedule-only confirmation: clears the releaser's tracked op so a
-  // later manager crash does not replay an already-processed release.
-  m_.post(m_.lock_manager(l), releaser, kCtl,
-          m_.params().list_processing_per_elem, [this, l, releaser, serial] {
-            peer(releaser).clear_mgr_op_by_serial(l, serial);
-          });
-}
-
-void AecProtocol::mgr_handle_notice(LockId l, ProcId p, ProcId mgr_at) {
-  if (!pol_.lap_virtual_queue) return;
-  const ProcId mgr = m_.lock_manager(l);
-  if (mgr != mgr_at) {
-    m_.post(mgr_at, mgr, kCtl, m_.params().list_processing_per_elem,
-            [this, l, p, mgr] { mgr_handle_notice(l, p, mgr); });
-    return;
-  }
-  sh_->lock(l, mgr).lap.add_notice(p);
-}
-
-// --------------------------------------------------------------------------
-// Crash failover (policy::PolicyEngine hooks)
-// --------------------------------------------------------------------------
-
-std::vector<ProcId> AecProtocol::lock_sharers(LockId l, ProcId crashed) {
-  std::vector<ProcId> out;
-  const LockRecord* rec = sh_->find_lock(l, crashed);
-  if (rec == nullptr) return out;
-  if (rec->taken && rec->owner != kNoProc) out.push_back(rec->owner);
-  if (rec->last_releaser != kNoProc) out.push_back(rec->last_releaser);
-  for (const auto& [pg, h] : rec->diff_holder) out.push_back(h);
-  return out;
-}
-
-void AecProtocol::migrate_lock_state(LockId l, ProcId from, ProcId to) {
-  sh_->migrate_lock(l, from, to);
-  if (LockRecord* rec = sh_->find_lock(l, to)) {
-    // The waiting/virtual queues die with the crashed manager's custody and
-    // are rebuilt from the live requesters' replayed ops; affinity history,
-    // chain custody and the grant/release serials are shared state that
-    // survives the fail-stop window.
-    rec->lap.reset_queues();
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -1577,7 +1192,7 @@ void AecProtocol::mgr_barrier_compute() {
   // that were still in flight when this barrier completed. This writes every
   // manager's shard, which is why the completing arrival runs exclusively
   // under the parallel engine.
-  for (auto& shard : sh_->locks) {
+  for (auto& shard : sh_->locks.shards) {
     for (auto& [l, rec] : shard) {
       rec.diff_holder.clear();
       rec.last_releaser = kNoProc;

@@ -3,7 +3,9 @@
 // One AecProtocol instance runs per node. Lock-manager and barrier-manager
 // records live in AecShared; every handler that touches a manager record
 // executes as a *service on the manager's node*, so management cost lands
-// on the right simulated processor even though the storage is shared.
+// on the right simulated processor even though the storage is shared. The
+// lock manager itself is the shared core (policy::LockManagerEngine); AEC
+// supplies its grant payload.
 //
 // Protocol summary implemented here:
 //  * Locks: requests go to the static manager; the grant carries the
@@ -43,12 +45,12 @@
 #include "dsm/machine.hpp"
 #include "dsm/protocol.hpp"
 #include "mem/diff.hpp"
-#include "policy/engine.hpp"
+#include "policy/lock_manager.hpp"
 #include "sim/processor.hpp"
 
 namespace aecdsm::aec {
 
-class AecProtocol : public policy::PolicyEngine {
+class AecProtocol : public policy::LockManagerEngine {
  public:
   AecProtocol(dsm::Machine& m, ProcId self, std::shared_ptr<AecShared> shared);
   ~AecProtocol() override;
@@ -65,11 +67,6 @@ class AecProtocol : public policy::PolicyEngine {
 
   /// Per-lock LAP scores (Table 3) — identical object across nodes.
   const AecShared& shared() const { return *sh_; }
-
-  /// This node's shard of the lock-strategy counters (summed by run_app).
-  LockMgrStats lockmgr_stats() const override {
-    return sh_->lockstats[static_cast<std::size_t>(self_)];
-  }
 
  private:
   // --- Per-page node state ---------------------------------------------------
@@ -124,7 +121,6 @@ class AecProtocol : public policy::PolicyEngine {
     // Grant reply (valid from grant until release).
     bool grant_ready = false;
     ProcId grant_last_releaser = kNoProc;
-    std::uint32_t grant_counter = 0;
     std::uint32_t grant_release_counter = 0;  ///< counter the expected push carries
     std::map<PageId, ProcId> cs_holders;
     std::vector<ProcId> my_update_set;
@@ -141,23 +137,6 @@ class AecProtocol : public policy::PolicyEngine {
     /// re-protected); the paper unprotects them again at release when they
     /// were not modified inside the critical section.
     std::vector<PageId> protected_at_acquire;
-
-    // Crash-failover state (all zero in crash-free runs). The acquire mints
-    // a per-(node, lock) serial; the grant must echo it to be accepted
-    // (duplicate grants from a pre-crash manager and its successor are
-    // otherwise indistinguishable), and the release reuses it so the
-    // manager can dedup replays.
-    std::uint64_t awaiting_serial = 0;  ///< grant we are waiting for
-    std::uint64_t cur_serial = 0;       ///< serial of the current tenure
-    std::uint64_t req_op_id = 0;        ///< registry id of the pending request op
-
-    /// mcs strategy: successor links keyed by the tenure counter they chain
-    /// behind. A LINK(K -> succ) means: the tenure whose grant carries
-    /// counter K hands the lock directly to `succ`. Tenure counters are
-    /// globally unique per lock, so an entry is only ever consumed by the
-    /// node whose grant_counter equals its key; stale keys (< grant_counter)
-    /// are pruned when the next grant is processed.
-    std::map<std::uint32_t, ProcId> mcs_links;
   };
 
   // --- Barrier exchange local state -------------------------------------------
@@ -208,23 +187,14 @@ class AecProtocol : public policy::PolicyEngine {
   /// app-side; pure metadata).
   void fold_push(LockLocal& ll);
 
+  // --- Lock payload (policy::LockManagerEngine hooks) ---------------------------
+  void on_grant(LockId l, policy::Grant g) override;
+  void on_predict(LockId l, ProcId at, std::size_t update_set_size) override;
+
   // --- Engine-side receive handlers ---------------------------------------------
-  void recv_grant(LockId l, ProcId last_releaser, std::uint32_t counter,
-                  std::uint32_t release_counter, std::map<PageId, ProcId> cs_holders,
-                  std::vector<ProcId> update_set, bool in_update_set,
-                  std::uint64_t serial);
   void recv_push(LockId l, ProcId from, std::uint32_t counter,
                  std::uint32_t episode,
                  std::shared_ptr<const std::map<PageId, mem::Diff>> diffs);
-  /// mcs: the manager tells the predecessor (tenure `pred_counter`) who its
-  /// queue successor is, so its release can hand the lock over directly.
-  void recv_mcs_link(LockId l, std::uint32_t pred_counter, ProcId succ);
-  /// mcs: direct lock handoff from the releaser, bypassing the manager.
-  /// Runs as an exclusive event (it performs the manager-record bookkeeping
-  /// on the successor's node); self-validates against the shared record and
-  /// falls back to forwarding a plain release to the manager on mismatch.
-  void recv_direct_handoff(LockId l, ProcId releaser, std::vector<PageId> pages,
-                           std::uint32_t episode);
   void recv_barrier_diff(PageId pg, mem::Diff d);
   void recv_barrier_notice(PageId pg, ProcId writer);
   void recv_directive(std::vector<DirSend> sends, int expected,
@@ -239,37 +209,12 @@ class AecProtocol : public policy::PolicyEngine {
   /// Serve the merged chain diff for (lock, page) — engine-side.
   const mem::Diff* serve_merged(LockId l, PageId pg);
 
-  // --- Manager handlers (run engine-side, as services on the manager node) -----
-  //
-  // Each handler carries `mgr_at`, the node the message was addressed to.
-  // After a crash failover the current manager may differ: the handler then
-  // forwards one hop instead of touching the record, because under the
-  // parallel engine a shard may only be mutated by the worker of the node
-  // it belongs to. `serial` is the crash-failover dedup serial (0 when no
-  // crash schedule exists).
-  void mgr_handle_request(LockId l, ProcId requester, std::uint64_t serial,
-                          ProcId mgr_at);
-  void mgr_handle_release(LockId l, ProcId releaser, std::vector<PageId> pages,
-                          std::uint32_t episode, std::uint64_t serial,
-                          ProcId mgr_at);
-  void mgr_handle_notice(LockId l, ProcId p, ProcId mgr_at);
-  void mgr_grant(LockId l, ProcId to);  ///< grant a fresh tenure + send the reply
-  /// Send (or re-send) the grant reply from the current record state; the
-  /// idempotent half of mgr_grant, also used to answer a replayed request
-  /// whose original grant came from the crashed manager.
-  void mgr_send_grant(LockId l, LockRecord& rec, ProcId to);
-  /// Crash-schedule-only release confirmation (clears the releaser's
-  /// tracked op; without it a later manager crash would replay the release).
-  void mgr_send_release_ack(LockId l, ProcId releaser, std::uint64_t serial);
+  // --- Barrier manager (runs engine-side, as services on node 0) ---------------
   void mgr_handle_barrier_arrival(ProcId p, std::vector<ArrivalLockInfo> lock_info,
                                   std::vector<PageId> outside,
                                   std::vector<std::uint8_t> valid_map);
   void mgr_barrier_compute();  ///< all arrived: route diffs/notices, homes
   void mgr_handle_barrier_completion();
-
-  // --- Crash failover (policy::PolicyEngine hooks) -------------------------------
-  std::vector<ProcId> lock_sharers(LockId l, ProcId crashed) override;
-  void migrate_lock_state(LockId l, ProcId from, ProcId to) override;
 
   // --- Barrier phases on the application thread ---------------------------------
   void barrier_publish_outside();

@@ -46,7 +46,7 @@ void print_lap_table(std::ostream& os, const std::string& app,
   os << std::left << std::setw(30) << "variable" << std::right << std::setw(9)
      << "events" << std::setw(9) << "% total" << std::setw(8) << "LAP" << std::setw(8)
      << "waitQ" << std::setw(10) << "wQ+aff" << std::setw(10) << "wQ+virtQ" << "\n";
-  auto rate = [](const aec::PredictorScore& s) {
+  auto rate = [](const policy::PredictorScore& s) {
     std::ostringstream o;
     if (s.predictions == 0) {
       o << "-";

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "aec/lap.hpp"
 #include "common/stats.hpp"
+#include "policy/lap.hpp"
 
 namespace aecdsm::harness {
 
@@ -33,7 +33,7 @@ struct LapRow {
   std::string variable;
   std::uint64_t lock_events = 0;
   double pct_of_total = 0.0;
-  aec::LapScores scores;
+  policy::LapScores scores;
 };
 
 void print_lap_table(std::ostream& os, const std::string& app,

@@ -14,12 +14,11 @@
 #include <map>
 #include <string>
 
-#include "aec/lap.hpp"
-
 #include "common/json.hpp"
 #include "common/params.hpp"
 #include "common/stats.hpp"
 #include "harness/runner.hpp"
+#include "policy/lap.hpp"
 
 namespace aecdsm::harness {
 
@@ -48,6 +47,6 @@ RunStats run_stats_from_json(const json::Value& v);
 
 /// Rebuild the per-lock LAP score map from a lap_json value (the "locks"
 /// array); a null value yields an empty map.
-std::map<LockId, aec::LapScores> lap_scores_from_json(const json::Value& v);
+std::map<LockId, policy::LapScores> lap_scores_from_json(const json::Value& v);
 
 }  // namespace aecdsm::harness

@@ -2,19 +2,18 @@
 
 namespace aecdsm::harness {
 
-std::map<LockId, aec::LapScores> lap_scores_of(const ExperimentResult& r) {
-  std::map<LockId, aec::LapScores> out;
-  if (r.aec != nullptr) {
+std::map<LockId, policy::LapScores> lap_scores_of(const ExperimentResult& r) {
+  std::map<LockId, policy::LapScores> out;
+  const policy::LockTable* table = r.aec != nullptr   ? &r.aec->locks
+                                   : r.erc != nullptr ? &r.erc->locks
+                                                      : nullptr;
+  if (table != nullptr) {
     // Manager shards partition the lock id space; `out` re-sorts globally.
-    for (const auto& shard : r.aec->locks) {
+    for (const auto& shard : table->shards) {
       for (const auto& [l, rec] : shard) out[l] = rec.lap.scores();
     }
   } else if (r.tm != nullptr) {
     for (const auto& [l, lap] : r.tm->lap) out[l] = lap.scores();
-  } else if (r.erc != nullptr) {
-    for (const auto& shard : r.erc->lap) {
-      for (const auto& [l, lap] : shard) out[l] = lap.scores();
-    }
   } else {
     // No live protocol handle: the result came from the cell cache, which
     // materialized the scores when the cell was first simulated.
@@ -23,7 +22,7 @@ std::map<LockId, aec::LapScores> lap_scores_of(const ExperimentResult& r) {
   return out;
 }
 
-std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
+std::vector<LapRow> lap_rows(const std::map<LockId, policy::LapScores>& scores,
                              const std::vector<apps::LockGroup>& groups) {
   std::uint64_t total_events = 0;
   for (const auto& [l, s] : scores) total_events += s.acquire_events;
@@ -35,7 +34,7 @@ std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
     for (const auto& [l, s] : scores) {
       if (l < g.lo || l > g.hi) continue;
       row.lock_events += s.acquire_events;
-      auto add = [](aec::PredictorScore& into, const aec::PredictorScore& from) {
+      auto add = [](policy::PredictorScore& into, const policy::PredictorScore& from) {
         into.predictions += from.predictions;
         into.hits += from.hits;
       };
@@ -54,8 +53,8 @@ std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
   return rows;
 }
 
-aec::PredictorScore total_lap_score(const ExperimentResult& r) {
-  aec::PredictorScore total;
+policy::PredictorScore total_lap_score(const ExperimentResult& r) {
+  policy::PredictorScore total;
   for (const auto& [l, s] : lap_scores_of(r)) {
     total.predictions += s.lap.predictions;
     total.hits += s.lap.hits;

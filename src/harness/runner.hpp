@@ -30,7 +30,7 @@ struct ExperimentResult {
   /// Per-lock LAP scores, materialized at the end of the run (or rebuilt
   /// from the cell cache). Everything a bench report needs beyond RunStats
   /// lives here, so a cache hit is indistinguishable from a fresh run.
-  std::map<LockId, aec::LapScores> lap_scores;
+  std::map<LockId, policy::LapScores> lap_scores;
   /// True when this result was served from the cell cache instead of being
   /// simulated; the protocol handles below are then null.
   bool from_cache = false;

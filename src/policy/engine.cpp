@@ -17,17 +17,6 @@ std::vector<ProcId> lap_score_grant(LockLap& lap, ProcId from, ProcId to) {
   return lap.compute_update_set(to);
 }
 
-LockLap& scoring_lap(std::map<LockId, LockLap>& laps, const SystemParams& p,
-                     LockId l) {
-  auto it = laps.find(l);
-  if (it == laps.end()) {
-    it = laps.emplace(l, LockLap(p.num_procs, p.update_set_size,
-                                 p.affinity_threshold))
-             .first;
-  }
-  return it->second;
-}
-
 PolicyEngine::PolicyEngine(dsm::Machine& m, ProcId self, ConsistencyPolicy pol)
     : pol_(std::move(pol)), m_(m), self_(self) {}
 

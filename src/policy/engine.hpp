@@ -14,8 +14,8 @@
 //     critical-path diffing share;
 //   * fetch_page_from_home — the two-hop whole-page RPC every protocol uses
 //     on a cold miss;
-//   * LAP plumbing shared by every lock-manager flavour (lap_score_grant,
-//     scoring_lap).
+//   * lap_score_grant, the LAP bookkeeping every lock-manager flavour runs
+//     at a grant (the AEC/Munin-ERC manager itself is policy/lock_manager).
 //
 // Derived protocols (AecProtocol, TmProtocol, ErcProtocol) keep their
 // protocol-specific state machines and consult pol_ for the axes their
@@ -47,11 +47,6 @@ namespace aecdsm::policy {
 /// notice, and predict the next update set. `from` is kNoProc on the first
 /// grant of a chain.
 std::vector<ProcId> lap_score_grant(LockLap& lap, ProcId from, ProcId to);
-
-/// Lazily build the scoring-only LAP instance for lock `l` (TreadMarks and
-/// Munin-ERC run the predictor without consuming it — paper §5.1).
-LockLap& scoring_lap(std::map<LockId, LockLap>& laps, const SystemParams& p,
-                     LockId l);
 
 class PolicyEngine : public dsm::Protocol {
  public:

@@ -15,8 +15,7 @@
 // LAP lives in the policy layer because it is protocol-neutral machinery:
 // AEC consumes its predictions (PushSelector::kLapUpdateSet), while
 // TreadMarks and Munin-ERC run it in scoring-only mode for the paper's §5.1
-// robustness claim. The historical aecdsm::aec:: names stay valid through
-// the aliases below.
+// robustness claim.
 #pragma once
 
 #include <cstdint>
@@ -133,11 +132,3 @@ class LockLap {
 };
 
 }  // namespace aecdsm::policy
-
-namespace aecdsm::aec {
-// Historical home of LAP before the policy-engine refactor; every protocol
-// and report site that says aec::LockLap keeps compiling.
-using policy::LapScores;
-using policy::LockLap;
-using policy::PredictorScore;
-}  // namespace aecdsm::aec

@@ -112,7 +112,11 @@ struct TmShared {
   /// map (including lazy insertion) is never touched concurrently.
   std::map<LockId, policy::LockLap> lap;
 
-  policy::LockLap& lap_of(LockId l) { return policy::scoring_lap(lap, params, l); }
+  policy::LockLap& lap_of(LockId l) {
+    return lap.try_emplace(l, params.num_procs, params.update_set_size,
+                           params.affinity_threshold)
+        .first->second;
+  }
 };
 
 class TmProtocol : public policy::PolicyEngine {

@@ -71,8 +71,8 @@ TEST(AecProtocol, UpdateSetsComputedForEveryAcquire) {
   ASSERT_TRUE(stats.result_valid);
   ASSERT_NE(shared, nullptr);
   // Lock 0 lives in manager node 0's shard.
-  const auto it = shared->locks[0].find(0);
-  ASSERT_NE(it, shared->locks[0].end());
+  const auto it = shared->locks.shards[0].find(0);
+  ASSERT_NE(it, shared->locks.shards[0].end());
   EXPECT_EQ(it->second.lap.scores().acquire_events, 24u);
   // Under heavy contention the waiting queue predicts nearly perfectly.
   EXPECT_GT(it->second.lap.scores().lap.rate(), 0.8);
@@ -82,7 +82,7 @@ TEST(AecProtocol, AcquireCountersIncreaseMonotonically) {
   PingPongApp app(5);
   std::shared_ptr<const aec::AecShared> shared;
   run_aec(app, small_params(4), true, &shared);
-  const auto& rec = shared->locks[0].at(0);
+  const auto& rec = shared->locks.shards[0].at(0);
   EXPECT_EQ(rec.counter, 20u);  // 5 iterations x 4 processors
   EXPECT_FALSE(rec.taken);
 }

@@ -136,11 +136,11 @@ TEST(ErcProtocol, ScoringLapMatchesEventCounts) {
       });
   const RunStats stats = run_erc(app, small_params(4), &shared);
   ASSERT_TRUE(stats.result_valid);
-  // Lock 2's manager (2 % 4) owns its LAP shard.
-  const auto it = shared->lap[2].find(2);
-  ASSERT_NE(it, shared->lap[2].end());
-  EXPECT_EQ(it->second.scores().acquire_events, 20u);
-  EXPECT_GT(it->second.scores().lap.rate(), 0.5);
+  // Lock 2's manager (2 % 4) owns its record and LAP instance.
+  const auto it = shared->locks.shards[2].find(2);
+  ASSERT_NE(it, shared->locks.shards[2].end());
+  EXPECT_EQ(it->second.lap.scores().acquire_events, 20u);
+  EXPECT_GT(it->second.lap.scores().lap.rate(), 0.5);
 }
 
 TEST(ErcProtocol, MoreTrafficThanAecOnSharedData) {
