@@ -4,10 +4,14 @@
 // experiment drivers that measure *simulated* time.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/params.hpp"
 #include "harness/batch.hpp"
 #include "mem/diff.hpp"
 #include "net/mesh.hpp"
+#include "sim/cothread.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -140,6 +144,44 @@ void BM_EngineEvents(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineEvents);
+
+// Engine <-> simulated-processor switch: one resume/yield round trip, with
+// `range(0)` live fibers parked in yield_to_engine() and resumed round
+// robin, as the engine resumes processors. Destruction cancels them.
+void BM_CoThreadSwitch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::CoThread*> self(n);
+  std::vector<std::unique_ptr<sim::CoThread>> fibers;
+  std::vector<std::uint64_t> trips(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    fibers.push_back(std::make_unique<sim::CoThread>([&self, &trips, i] {
+      for (;;) {
+        ++trips[i];
+        self[i]->yield_to_engine();
+      }
+    }));
+    self[i] = fibers.back().get();
+  }
+  for (auto& f : fibers) f->resume();
+  std::size_t k = 0;
+  for (auto _ : state) {
+    fibers[k]->resume();
+    if (++k == n) k = 0;
+  }
+  benchmark::DoNotOptimize(trips.data());
+}
+BENCHMARK(BM_CoThreadSwitch)->Arg(16)->Arg(256);
+
+// Create, run to completion and destroy one CoThread (stack map included).
+void BM_CoThreadSpawn(benchmark::State& state) {
+  std::uint64_t ran = 0;
+  for (auto _ : state) {
+    sim::CoThread t([&ran] { ++ran; });
+    t.resume();
+  }
+  benchmark::DoNotOptimize(ran);
+}
+BENCHMARK(BM_CoThreadSpawn);
 
 void BM_BatchRunnerSmallPlan(benchmark::State& state) {
   // Host-side throughput of the batch scheduler itself: a small-scale plan

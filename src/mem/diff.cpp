@@ -15,6 +15,9 @@ namespace {
 /// its own on first use and tears it down at thread exit; no Diff outlives
 /// its thread's pool (protocol state is released on the main thread before
 /// exit, and worker threads destroy no diffs after their run() returns).
+/// Application code runs on fibers resumed by those threads, so it shares
+/// the resuming thread's pool: a buffer acquired before a switch may be
+/// recycled into another thread's pool after it, which is only a move.
 struct Pool {
   std::vector<std::vector<Word>> free;
 };

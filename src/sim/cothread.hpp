@@ -1,16 +1,18 @@
-// Cooperative thread: an OS thread that runs only when the simulation engine
-// explicitly hands it control, and always hands control back before the
-// engine proceeds. At any instant at most one cooperative thread (or the
+// Cooperative thread: a stackful fiber that runs only when the simulation
+// engine explicitly hands it control, and always hands control back before
+// the engine proceeds. At any instant at most one cooperative thread (or the
 // engine itself) is running, which makes the simulation deterministic while
 // letting application code keep its natural sequential structure — the same
 // contract Mint gave the original paper's workloads.
+//
+// A switch is a user-space register swap (ucontext off x86-64); no kernel
+// scheduler is involved. The fiber runs on whichever OS thread calls
+// resume(), so `thread_local` state seen by its body is the resumer's.
 #pragma once
 
-#include <condition_variable>
 #include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
+#include <memory>
 
 namespace aecdsm::sim {
 
@@ -23,8 +25,9 @@ class CoThread {
   /// The body starts suspended; nothing runs until the first resume().
   explicit CoThread(std::function<void()> body);
 
-  /// Joins the OS thread. If the body has not finished, it is cancelled
-  /// (resumed with the cancel flag set, unwinding via CoThreadCancelled).
+  /// If the body has started but not finished, it is cancelled (resumed
+  /// with the cancel flag set, unwinding via CoThreadCancelled); a body
+  /// that never started never runs. Frees the fiber's stack.
   ~CoThread();
 
   CoThread(const CoThread&) = delete;
@@ -35,23 +38,26 @@ class CoThread {
   void resume();
 
   /// Thread side: suspend and return control to the engine. Throws
-  /// CoThreadCancelled if the engine is tearing the thread down.
+  /// CoThreadCancelled if the engine is tearing the thread down. Never call
+  /// it inside a catch block or from a destructor run by unwinding: the C++
+  /// exception globals belong to the OS thread, not to the fiber.
   void yield_to_engine();
 
   bool finished() const { return finished_; }
 
  private:
-  enum class Turn { kEngine, kThread };
+  struct Fiber;  // stack mapping, saved contexts, sanitizer handles
 
-  void thread_main(std::function<void()> body);
+  [[noreturn]] static void fiber_main(CoThread* self);
+  void switch_in();   ///< engine -> fiber; returns when the fiber switches out
+  void switch_out();  ///< fiber -> engine; returns when resumed again
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kEngine;
+  std::function<void()> body_;
+  std::unique_ptr<Fiber> fiber_;  ///< null once the body has finished
+  bool started_ = false;
   bool finished_ = false;
   bool cancel_ = false;
   std::exception_ptr error_;
-  std::thread os_thread_;
 };
 
 }  // namespace aecdsm::sim

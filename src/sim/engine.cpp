@@ -136,6 +136,11 @@ Engine::PEvent* Engine::par_pop(int node) {
 // Scheduling and capture
 // --------------------------------------------------------------------------
 
+Engine::ExecCtx& Engine::tls() {
+  static thread_local ExecCtx c;
+  return c;
+}
+
 void Engine::schedule_for(int node, Cycles t, EventFn fn) {
   if (!par_active_) {
     schedule(t, std::move(fn));

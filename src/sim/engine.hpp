@@ -2,9 +2,10 @@
 //
 // All simulation activity — processor wakeups, message deliveries, manager
 // processing — flows through one time-ordered event queue, processed on the
-// engine thread. Cooperative application threads only run while the engine
-// is suspended inside their resume handshake, so the whole simulation is a
-// single logical thread and therefore deterministic.
+// engine thread. Each simulated processor's application code runs on a
+// fiber (sim::CoThread) that the engine switches to from inside one of that
+// processor's events and that switches back before the event returns, so the
+// whole simulation is a single logical thread and therefore deterministic.
 //
 // Parallel mode (enable_parallel)
 // -------------------------------
@@ -76,7 +77,7 @@ class Engine {
 
   /// Time of the event currently (or most recently) being processed. In
   /// parallel mode, the executing node's local event time (well-defined on
-  /// worker threads and on bound application threads).
+  /// worker threads, including in application fibers they resume).
   Cycles now() const {
     if (par_active_) {
       const ExecCtx& c = tls();
@@ -181,10 +182,6 @@ class Engine {
   /// not schedule events or send messages.
   void at_commit(EventFn fn);
 
-  /// Bind the calling thread to `node` for event attribution — called once
-  /// per application cothread. Harmless in sequential mode.
-  void bind_current_thread(int node) { tls() = ExecCtx{this, node}; }
-
  private:
   struct Event {
     Cycles t;
@@ -255,10 +252,11 @@ class Engine {
     Engine* eng = nullptr;
     int node = -1;
   };
-  static ExecCtx& tls() {
-    static thread_local ExecCtx c;
-    return c;
-  }
+  /// The calling OS thread's context. Out of line on purpose: application
+  /// fibers run inside Engine calls and may be resumed on another worker
+  /// thread, so a TLS address computed before a switch must not be reused
+  /// after it (as an inlined thread_local access may be).
+  [[gnu::noinline]] static ExecCtx& tls();
 
   // --- Sequential engine ----------------------------------------------------
 

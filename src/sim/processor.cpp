@@ -14,9 +14,6 @@ Processor::~Processor() = default;
 void Processor::start(std::function<void()> body) {
   AECDSM_CHECK_MSG(!thread_, "Processor::start called twice");
   thread_ = std::make_unique<CoThread>([this, b = std::move(body)] {
-    // The cothread's OS thread is permanently this processor's: bind it so
-    // engine calls made from application code attribute to this node.
-    engine_.bind_current_thread(id_);
     running_app_ = true;
     b();
     absorb_stolen();

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,6 +153,130 @@ TEST(CoThread, DestructorCancelsSuspendedBody) {
     t.resume();
   }
   EXPECT_TRUE(unwound);
+}
+
+TEST(CoThread, BodyNeverResumedNeverRuns) {
+  bool ran = false;
+  { sim::CoThread t([&] { ran = true; }); }
+  EXPECT_FALSE(ran);
+}
+
+thread_local int tl_resumer = 0;
+
+// Read through a call, as Engine::tls() is: an inlined thread_local access
+// may keep a TLS address computed before a switch.
+[[gnu::noinline]] int resumer_id() { return tl_resumer; }
+
+TEST(CoThread, BodySeesTheResumingThreadsThreadLocals) {
+  std::vector<int> seen;
+  sim::CoThread* self = nullptr;
+  sim::CoThread t([&] {
+    for (;;) {
+      seen.push_back(resumer_id());
+      self->yield_to_engine();
+    }
+  });
+  self = &t;
+  // Two resumer threads take turns: turn k belongs to thread k % 2 + 1.
+  constexpr int kTurns = 6;
+  std::atomic<int> turn{0};
+  auto resumer = [&](int id) {
+    tl_resumer = id;
+    for (int k = id - 1; k < kTurns; k += 2) {
+      while (turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
+      t.resume();
+      turn.store(k + 1, std::memory_order_release);
+    }
+  };
+  std::thread a(resumer, 1);
+  std::thread b(resumer, 2);
+  a.join();
+  b.join();
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 1, 2, 1, 2}));
+}
+
+TEST(CoThread, ThousandLiveFibersRoundRobin) {
+  constexpr int kFibers = 1024;
+  constexpr int kRounds = 3;
+  std::vector<int> steps(kFibers, 0);
+  int unwound = 0;
+  std::vector<std::unique_ptr<sim::CoThread>> ts;
+  for (int i = 0; i < kFibers; ++i) {
+    ts.push_back(std::make_unique<sim::CoThread>([&, i] {
+      struct Guard {
+        int* n;
+        ~Guard() { ++*n; }
+      } guard{&unwound};
+      for (int r = 0; r < kRounds; ++r) {
+        ++steps[i];
+        ts[i]->yield_to_engine();
+      }
+    }));
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    for (auto& t : ts) t->resume();
+  }
+  EXPECT_EQ(std::count(steps.begin(), steps.end(), kRounds), kFibers);
+  // Even fibers run to completion; odd ones are cancelled while suspended.
+  for (int i = 0; i < kFibers; i += 2) {
+    ts[i]->resume();
+    EXPECT_TRUE(ts[i]->finished());
+  }
+  EXPECT_EQ(unwound, kFibers / 2);
+  ts.clear();
+  EXPECT_EQ(unwound, kFibers);
+}
+
+// 1 KiB per frame; the add after the call keeps every frame live.
+[[gnu::noinline]] std::uint64_t deep_frames(sim::CoThread* self, int depth) {
+  volatile unsigned char frame[1024];
+  frame[0] = static_cast<unsigned char>(depth);
+  frame[sizeof(frame) - 1] = frame[0];
+  if (depth == 0) {
+    self->yield_to_engine();  // suspend with the whole chain on the stack
+    return frame[sizeof(frame) - 1];
+  }
+  return deep_frames(self, depth - 1) + frame[sizeof(frame) - 1];
+}
+
+TEST(CoThread, MegabyteOfRecursionOnTheFiberStack) {
+  constexpr int kDepth = 1024;
+  std::uint64_t sum = 0;
+  sim::CoThread* self = nullptr;
+  sim::CoThread t([&] { sum = deep_frames(self, kDepth); });
+  self = &t;
+  t.resume();
+  EXPECT_FALSE(t.finished());
+  t.resume();
+  EXPECT_TRUE(t.finished());
+  std::uint64_t expect = 0;
+  for (int d = 0; d <= kDepth; ++d) expect += static_cast<unsigned char>(d);
+  EXPECT_EQ(sum, expect);
+}
+
+TEST(CoThread, NestedThrowAfterYieldsComesOutOfResume) {
+  constexpr int kYields = 3;
+  sim::CoThread* self = nullptr;
+  std::function<void(int)> nest = [&](int depth) {
+    if (depth == 0) throw std::runtime_error("deep");
+    nest(depth - 1);
+  };
+  sim::CoThread t([&] {
+    for (int k = 0; k < kYields; ++k) self->yield_to_engine();
+    nest(8);
+  });
+  self = &t;
+  for (int k = 0; k < kYields; ++k) {
+    t.resume();
+    EXPECT_FALSE(t.finished());
+  }
+  try {
+    t.resume();
+    ADD_FAILURE() << "resume() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "deep");
+  }
+  EXPECT_TRUE(t.finished());
 }
 
 class ProcessorTest : public ::testing::Test {
