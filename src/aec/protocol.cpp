@@ -44,12 +44,6 @@ AecProtocol::AecProtocol(dsm::Machine& m, ProcId self, std::shared_ptr<AecShared
     sh_->nodes.resize(static_cast<std::size_t>(m.nprocs()), nullptr);
   }
   sh_->nodes[static_cast<std::size_t>(self)] = this;
-  // Barrier arrivals to the manager are exclusive events (the completing one
-  // rewrites every lock manager's records). Under faults, held out-of-order
-  // arrivals are released by whatever reliable carrier fills the channel
-  // gap, so every such carrier must run solo as well — registered up front,
-  // before any message is in flight.
-  m.transport().mark_exclusive_dst(m.barrier_manager());
   dsm::init_round_robin_validity(m, self);
 }
 
@@ -92,7 +86,7 @@ bool AecProtocol::wait_for_push_or_timeout(LockLocal& ll, sim::Bucket bucket) {
   // of resurrecting the old chain state.
   ll.expect_push = false;
   ll.max_counter_seen = std::max(ll.max_counter_seen, ll.grant_release_counter);
-  ++m_.transport().stats_for(self_).push_timeouts;
+  ++m_.transport().stats().push_timeouts;
   return false;
 }
 
@@ -312,7 +306,7 @@ void AecProtocol::apply_cs_diff_if_needed(PageId pg) {
         proc().wait(sim::Bucket::kData, [&ll] { return !ll.expect_push; });
       } else if (!wait_for_push_or_timeout(ll, sim::Bucket::kData)) {
         // Best-effort push lost: degrade to the noLAP lazy holder fetch.
-        ++m_.transport().stats_for(self_).push_fallbacks;
+        ++m_.transport().stats().push_fallbacks;
       }
     }
     if (auto mt = ll.merged.find(pg); mt != ll.merged.end()) {
@@ -764,15 +758,13 @@ void AecProtocol::barrier() {
       kCtl + 8 * (lock_info_elems + outside.size()) + vmap.size();
   const Cycles arrival_svc =
       params.list_processing_per_elem * (lock_info_elems + outside.size() + 2);
-  // The last arrival's handler runs the barrier computation, which resets
-  // lock records owned by every manager node — under the parallel engine it
-  // must execute alone (Engine::schedule_exclusive). The sender cannot know
-  // which arrival is last, so every arrival is posted exclusive.
+  // The last arrival's handler runs the barrier computation, which also
+  // resets the lock records of every manager node.
   send_from_app(m_.barrier_manager(), arrival_bytes, arrival_svc,
                 [this, p = self_, lock_info, outside, vmap] {
                   mgr_handle_barrier_arrival(p, lock_info, outside, vmap);
                 },
-                sim::Bucket::kSynch, /*exclusive=*/true);
+                sim::Bucket::kSynch);
 
   // Overlap the wait with eager outside-diff creation, filtered to pages
   // other processors hold and that have seen at least one request (§3.3).
@@ -1190,8 +1182,7 @@ void AecProtocol::mgr_barrier_compute() {
   // Chain reset: barrier-consistent memory starts every lock afresh. The
   // epoch stamp lets the lock manager ignore chain data in release messages
   // that were still in flight when this barrier completed. This writes every
-  // manager's shard, which is why the completing arrival runs exclusively
-  // under the parallel engine.
+  // manager's shard.
   for (auto& shard : sh_->locks.shards) {
     for (auto& [l, rec] : shard) {
       rec.diff_holder.clear();

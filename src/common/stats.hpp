@@ -288,8 +288,7 @@ struct RunStats {
   OverlapStats overlap;      ///< all-zero unless the run was traced + analyzed
   LockMgrStats lockmgr;      ///< all-zero unless a lock strategy collects stats
 
-  /// Total engine events of the run. Thread-count-independent (the parallel
-  /// engine replays the sequential numbering). Deliberately NOT part of the
+  /// Total engine events of the run. Deliberately NOT part of the
   /// artifact JSON — committed bench baselines and cached blobs predate it —
   /// so it is zero for cache-served results; events-per-second telemetry
   /// (BatchRunInfo) uses it for fresh runs only.

@@ -120,7 +120,7 @@ void Context::access(GAddr addr, std::size_t size, bool is_write) {
 
 void Context::lock(LockId l) {
   AECDSM_CHECK_MSG(locks_held_.count(l) == 0, "recursive lock " << l);
-  machine_.note_lock_acquire(self_, l);
+  machine_.note_lock_acquire(l);
   trace::Recorder* rec = machine_.recorder();
   sim::Processor& p = *machine_.node(self_).proc;
   const Cycles t0 = p.now();

@@ -16,7 +16,6 @@ Machine::Machine(const SystemParams& params, std::size_t max_shared_bytes)
   const std::string err = params_.validate();
   AECDSM_CHECK_MSG(err.empty(), err);
   nodes_.resize(static_cast<std::size_t>(params_.num_procs));
-  sync_shards_.resize(static_cast<std::size_t>(params_.num_procs));
   for (int p = 0; p < params_.num_procs; ++p) {
     Node& n = nodes_[static_cast<std::size_t>(p)];
     n.proc = std::make_unique<sim::Processor>(engine_, p, params_);
@@ -55,19 +54,6 @@ void Machine::post(ProcId from, ProcId to, std::size_t bytes, Cycles service_cos
                     const Cycles done = node(to).proc->service(service_cost);
                     engine_.schedule(done, std::move(h));
                   });
-}
-
-void Machine::post_exclusive(ProcId from, ProcId to, std::size_t bytes,
-                             Cycles service_cost, std::function<void()> handler) {
-  // The delivery wrapper itself runs solo (transport flag), so re-arming the
-  // handler through schedule_exclusive happens from a serial context.
-  transport_.send(
-      from, to, bytes,
-      [this, to, service_cost, h = std::move(handler)]() mutable {
-        const Cycles done = node(to).proc->service(service_cost);
-        engine_.schedule_exclusive(done, std::move(h));
-      },
-      /*exclusive=*/true);
 }
 
 void Machine::post_best_effort(ProcId from, ProcId to, std::size_t bytes,

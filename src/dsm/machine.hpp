@@ -79,15 +79,6 @@ class Machine {
   void post(ProcId from, ProcId to, std::size_t bytes, Cycles service_cost,
             std::function<void()> handler);
 
-  /// Like post(), but the delivery and the serviced handler both run as
-  /// exclusive events under the parallel engine (Engine::schedule_exclusive):
-  /// protocol handlers that mutate state owned by other nodes — e.g. a
-  /// barrier completion resetting every lock manager's records — must see
-  /// no event anywhere in the machine executing past them. Identical to
-  /// post() under the sequential engine.
-  void post_exclusive(ProcId from, ProcId to, std::size_t bytes,
-                      Cycles service_cost, std::function<void()> handler);
-
   /// Like post(), but best-effort: under fault injection the message may be
   /// dropped, duplicated, delayed or reordered, and is neither acknowledged
   /// nor retransmitted. Used for AEC's LAP update pushes, which the protocol
@@ -105,9 +96,7 @@ class Machine {
     return static_cast<ProcId>(lock % static_cast<LockId>(params_.num_procs));
   }
 
-  /// Re-point a lock's manager after failover. May only be called from an
-  /// exclusive event (the table is read concurrently by every node under
-  /// the parallel engine; mutations must run solo).
+  /// Re-point a lock's manager after failover.
   void set_lock_manager_override(LockId lock, ProcId mgr) {
     mgr_override_[lock] = mgr;
   }
@@ -125,25 +114,13 @@ class Machine {
   trace::Recorder* recorder() const { return recorder_; }
 
   // --- Run-wide synchronization accounting (fed by Context) ----------------
-  // Sharded per acquiring node so parallel engine workers never share a
-  // counter; the getters aggregate. Barrier episodes are counted by node 0
-  // only (and read cross-node only by the recorder, which forces the
-  // sequential engine), so a single counter stays race-free.
-  void note_lock_acquire(ProcId self, LockId lock) {
-    sync_shards_[static_cast<std::size_t>(self)].seen.insert(lock);
-    ++sync_shards_[static_cast<std::size_t>(self)].acquires;
+  void note_lock_acquire(LockId lock) {
+    seen_locks_.insert(lock);
+    ++lock_acquires_;
   }
   void note_barrier_episode() { ++barrier_episodes_; }
-  std::uint64_t lock_acquires() const {
-    std::uint64_t total = 0;
-    for (const SyncShard& s : sync_shards_) total += s.acquires;
-    return total;
-  }
-  std::uint64_t distinct_locks() const {
-    std::set<LockId> all;
-    for (const SyncShard& s : sync_shards_) all.insert(s.seen.begin(), s.seen.end());
-    return all.size();
-  }
+  std::uint64_t lock_acquires() const { return lock_acquires_; }
+  std::uint64_t distinct_locks() const { return seen_locks_.size(); }
   std::uint64_t barrier_episodes() const { return barrier_episodes_; }
 
  private:
@@ -157,11 +134,8 @@ class Machine {
 
   trace::Recorder* recorder_ = nullptr;
 
-  struct alignas(64) SyncShard {
-    std::uint64_t acquires = 0;
-    std::set<LockId> seen;
-  };
-  std::vector<SyncShard> sync_shards_;
+  std::uint64_t lock_acquires_ = 0;
+  std::set<LockId> seen_locks_;
   std::uint64_t barrier_episodes_ = 0;
 
   /// Crash-failover manager re-elections (empty unless a manager crashed).

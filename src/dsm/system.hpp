@@ -33,12 +33,6 @@ struct RunConfig {
   /// to an untraced one. Not part of SystemParams on purpose: trace state
   /// must never fold into cell content hashes or cached artifacts.
   trace::Recorder* recorder = nullptr;
-  /// Worker threads for the engine's conservative parallel mode (1 =
-  /// sequential). Results are byte-identical for every value, so this is a
-  /// host execution knob like `recorder`: deliberately not in SystemParams,
-  /// and therefore never part of cellcache keys. Traced runs fall back to
-  /// the sequential engine (span emission is not replay-ordered).
-  int engine_threads = 1;
 };
 
 /// Execute `app` under `suite`; throws SimError on deadlock or invariant

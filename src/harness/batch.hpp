@@ -77,10 +77,6 @@ struct BatchOptions {
   /// Write per-cell trace files (<label>.trace.json in the aecdsm-trace-v1
   /// schema plus <label>.perfetto.json) into this directory. "" = off.
   std::string trace_dir;
-  /// Engine worker threads per cell (>1 = the conservative parallel engine;
-  /// results are byte-identical to sequential for any value, so the cell
-  /// cache key deliberately does not include this).
-  int engine_threads = 1;
   /// Debug: after serving cache hits, re-simulate the first warm hit cold
   /// and fail the batch (SimError) unless the artifacts match byte for
   /// byte. Guards the cache against key collisions and stale blobs.

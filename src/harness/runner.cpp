@@ -14,14 +14,13 @@ SystemParams paper_params() {
 ExperimentResult run_experiment(const std::string& protocol, const std::string& app_name,
                                 apps::Scale scale, const SystemParams& params,
                                 std::uint64_t seed, double wall_timeout_sec,
-                                trace::Recorder* recorder, int engine_threads) {
+                                trace::Recorder* recorder) {
   auto app = apps::make_app(app_name, scale);
   dsm::RunConfig cfg;
   cfg.params = params;
   cfg.seed = seed;
   cfg.wall_timeout_sec = wall_timeout_sec;
   cfg.recorder = recorder;
-  cfg.engine_threads = engine_threads;
 
   // The registry replaces the old per-protocol if/else chain: any registered
   // policy (the legacy presets plus hybrids) resolves to a runnable suite.

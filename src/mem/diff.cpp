@@ -11,13 +11,12 @@ namespace aecdsm::mem {
 namespace wordpool {
 namespace {
 
-/// Thread-local free list. Function-local so each engine worker thread gets
-/// its own on first use and tears it down at thread exit; no Diff outlives
-/// its thread's pool (protocol state is released on the main thread before
-/// exit, and worker threads destroy no diffs after their run() returns).
-/// Application code runs on fibers resumed by those threads, so it shares
-/// the resuming thread's pool: a buffer acquired before a switch may be
-/// recycled into another thread's pool after it, which is only a move.
+/// Thread-local free list. Function-local so each thread that runs
+/// simulations (one per concurrent batch cell) gets its own on first use
+/// and tears it down at thread exit. Application code runs on fibers
+/// resumed by the thread running its cell, so it shares that thread's pool;
+/// a diff destroyed on another thread donates its buffers to that thread's
+/// pool, which is only a move.
 struct Pool {
   std::vector<std::vector<Word>> free;
 };

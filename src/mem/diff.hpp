@@ -7,8 +7,8 @@
 // (every release, every served fetch), so the storage behind each run is
 // recycled through a thread-local buffer pool: a destroyed diff donates its
 // word vectors back, and create/merge/copy draw capacity from the pool
-// instead of malloc. Each engine worker thread (and the sequential engine's
-// one thread) owns its pool, so no synchronization is needed, and recycled
+// instead of malloc. Each thread that runs simulations (one per concurrent
+// batch cell) owns its pool, so no synchronization is needed, and recycled
 // capacity never crosses threads in a racy way — the vectors themselves use
 // the global allocator, the pool merely keeps them alive.
 #pragma once

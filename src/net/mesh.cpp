@@ -94,24 +94,9 @@ Cycles MeshNetwork::route_and_occupy(ProcId src, ProcId dst, std::size_t bytes,
 }
 
 void MeshNetwork::send(ProcId src, ProcId dst, std::size_t bytes,
-                       sim::Engine::EventFn deliver, bool exclusive) {
+                       sim::Engine::EventFn deliver) {
   AECDSM_CHECK(src >= 0 && src < params_.num_procs);
   AECDSM_CHECK(dst >= 0 && dst < params_.num_procs);
-
-  if (engine_.parallel_running()) {
-    // Workers may send concurrently; defer every shared-state mutation
-    // (stats, NIC/link occupancy) to the replay, which commits them in
-    // sequential event order. Exclusive self-sends are captured too: the
-    // replay pushes the delivery with its flag, and the sender holds its own
-    // frontier at the send time until then (Engine::capture_mesh_send).
-    if (src == dst && !exclusive) {
-      engine_.note_local_send(bytes);
-      engine_.schedule(engine_.now(), std::move(deliver));
-    } else {
-      engine_.capture_mesh_send(src, dst, bytes, std::move(deliver), exclusive);
-    }
-    return;
-  }
 
   stats_.messages += 1;
   stats_.bytes += bytes;
@@ -122,25 +107,6 @@ void MeshNetwork::send(ProcId src, ProcId dst, std::size_t bytes,
     return;
   }
   engine_.schedule(route_and_occupy(src, dst, bytes, now), std::move(deliver));
-}
-
-Cycles MeshNetwork::resolve_send(ProcId src, ProcId dst, std::size_t bytes,
-                                 Cycles t_send) {
-  stats_.messages += 1;
-  stats_.bytes += bytes;
-  return route_and_occupy(src, dst, bytes, t_send);
-}
-
-void MeshNetwork::note_local_send(std::size_t bytes) {
-  stats_.messages += 1;
-  stats_.bytes += bytes;
-}
-
-Cycles MeshNetwork::min_cross_latency() const {
-  // Every cross-node message pays at least: NIC injection and ejection of a
-  // zero-word transfer, one switch+wire hop, and a zero-byte payload tail.
-  return 2 * params_.io_transfer_cycles(0) + params_.switch_cycles +
-         params_.wire_cycles + params_.network_payload_cycles(0);
 }
 
 }  // namespace aecdsm::net

@@ -26,83 +26,55 @@ Transport::Transport(sim::Engine& engine, MeshNetwork& mesh,
       base_rto_(params.faults.retransmit_timeout_cycles),
       backoff_cap_(params.faults.retransmit_backoff_cap),
       suspect_after_(params.faults.suspect_after) {
-  // Protocols count push_timeouts/push_fallbacks even with faults disabled.
-  stats_.resize(static_cast<std::size_t>(nprocs_));
-  rstats_.resize(static_cast<std::size_t>(nprocs_));
-  excl_dst_.assign(static_cast<std::size_t>(nprocs_), 0);
   if (plane_.enabled()) {
     const std::size_t channels = static_cast<std::size_t>(nprocs_) *
                                  static_cast<std::size_t>(nprocs_);
     send_ch_.resize(channels);
     recv_ch_.resize(channels);
-    pending_.resize(static_cast<std::size_t>(nprocs_));
     suspected_.resize(static_cast<std::size_t>(nprocs_));
   }
 }
 
-TransportStats Transport::stats() const {
-  TransportStats total;
-  for (const TransportStats& s : stats_) total += s;
-  return total;
-}
-
-RecoveryStats Transport::recovery() const {
-  RecoveryStats total;
-  for (const RecoveryStats& s : rstats_) total += s;
-  return total;
-}
-
-void Transport::mark_exclusive_dst(ProcId dst) {
-  AECDSM_CHECK(dst >= 0 && dst < nprocs_);
-  excl_dst_[static_cast<std::size_t>(dst)] = 1;
-}
-
 void Transport::inject_copy(ProcId src, ProcId dst, std::size_t bytes,
-                            bool exclusive, sim::Engine::EventFn fn) {
+                            sim::Engine::EventFn fn) {
   const FaultPlane::Decision d = plane_.decide(src, dst);
-  TransportStats& st = stats_for(src);
-  if (d.delayed) ++st.delays_injected;
-  if (d.reordered) ++st.reorders_injected;
+  if (d.delayed) ++stats_.delays_injected;
+  if (d.reordered) ++stats_.reorders_injected;
   if (d.drop) {
-    ++st.drops_injected;
+    ++stats_.drops_injected;
     return;
   }
-  auto emit = [this, src, dst, bytes,
-               exclusive](Cycles extra, sim::Engine::EventFn deliver) {
+  auto emit = [this, src, dst, bytes](Cycles extra, sim::Engine::EventFn deliver) {
     if (extra == 0) {
-      mesh_.send(src, dst, bytes, std::move(deliver), exclusive);
+      mesh_.send(src, dst, bytes, std::move(deliver));
     } else {
       engine_.schedule(engine_.now() + extra,
-                       [this, src, dst, bytes, exclusive,
-                        h = std::move(deliver)]() mutable {
-                         mesh_.send(src, dst, bytes, std::move(h), exclusive);
+                       [this, src, dst, bytes, h = std::move(deliver)]() mutable {
+                         mesh_.send(src, dst, bytes, std::move(h));
                        });
     }
   };
   if (d.duplicate) {
     // The twin is injected verbatim at a fixed offset — it takes no further
     // fault decision, so duplication cannot cascade.
-    ++st.dups_injected;
+    ++stats_.dups_injected;
     emit(d.extra_delay + kDuplicateOffset, fn);
   }
   emit(d.extra_delay, std::move(fn));
 }
 
 void Transport::send(ProcId src, ProcId dst, std::size_t bytes,
-                     sim::Engine::EventFn deliver, bool exclusive) {
+                     sim::Engine::EventFn deliver) {
   if (recorder_ != nullptr) {
     recorder_->instant(src, trace::Category::kNet, trace::names::kNetSend,
                        engine_.now(), "dst", static_cast<std::uint64_t>(dst),
                        "bytes", bytes);
   }
   if (!plane_.enabled() || src == dst) {
-    mesh_.send(src, dst, bytes, std::move(deliver), exclusive);
+    mesh_.send(src, dst, bytes, std::move(deliver));
     return;
   }
-  // Under faults, a registered destination widens exclusivity to every
-  // reliable carrier headed its way (see mark_exclusive_dst).
-  const bool excl = exclusive || excl_dst_[static_cast<std::size_t>(dst)] != 0;
-  ++stats_for(src).data_sends;
+  ++stats_.data_sends;
   const std::size_t ch = channel(src, dst);
   const std::uint32_t seq = send_ch_[ch].next_seq++;
   const std::uint64_t key = pending_key(ch, seq);
@@ -113,12 +85,11 @@ void Transport::send(ProcId src, ProcId dst, std::size_t bytes,
   p.dst = dst;
   p.bytes = bytes;
   p.seq = seq;
-  p.exclusive = excl;
   p.deliver = fn;
-  pending_shard(key).emplace(key, std::move(p));
+  pending_.emplace(key, std::move(p));
 
-  inject_copy(src, dst, bytes, excl, [this, src, dst, seq, excl, fn] {
-    on_data_arrival(src, dst, seq, excl, fn);
+  inject_copy(src, dst, bytes, [this, src, dst, seq, fn] {
+    on_data_arrival(src, dst, seq, fn);
   });
   arm_timer(key, 0);
 }
@@ -131,10 +102,9 @@ void Transport::arm_timer(std::uint64_t key, int attempt) {
 }
 
 void Transport::timer_fire(std::uint64_t key, int attempt) {
-  auto& shard = pending_shard(key);
-  const auto it = shard.find(key);
+  const auto it = pending_.find(key);
   // Acked (erased) or already retransmitted by a newer timer: stale timer.
-  if (it == shard.end() || it->second.attempt != attempt) return;
+  if (it == pending_.end() || it->second.attempt != attempt) return;
   Pending& p = it->second;
   const Cycles now = engine_.now();
   if (plane_.crashed(p.src, now)) {
@@ -151,8 +121,8 @@ void Transport::timer_fire(std::uint64_t key, int attempt) {
     // the payload must still deliver after recovery.
     maybe_suspect(p.src, p.dst, now);
   }
-  ++stats_for(p.src).timeouts;
-  ++stats_for(p.src).retransmits;
+  ++stats_.timeouts;
+  ++stats_.retransmits;
   if (recorder_ != nullptr) {
     recorder_->instant(p.src, trace::Category::kNet, trace::names::kNetRetx,
                        engine_.now(), "dst",
@@ -163,10 +133,9 @@ void Transport::timer_fire(std::uint64_t key, int attempt) {
   const ProcId src = p.src;
   const ProcId dst = p.dst;
   const std::uint32_t seq = p.seq;
-  const bool excl = p.exclusive;
   auto fn = p.deliver;
-  inject_copy(src, dst, p.bytes, excl, [this, src, dst, seq, excl, fn] {
-    on_data_arrival(src, dst, seq, excl, fn);
+  inject_copy(src, dst, p.bytes, [this, src, dst, seq, fn] {
+    on_data_arrival(src, dst, seq, fn);
   });
   arm_timer(key, attempt + 1);
 }
@@ -178,7 +147,7 @@ void Transport::maybe_suspect(ProcId src, ProcId dst, Cycles now) {
   if (inserted || it->second != window_end) {
     // First verdict for this window: count it and stamp the instant once.
     it->second = window_end;
-    ++recovery_for(src).suspects;
+    ++rstats_.suspects;
     if (recorder_ != nullptr) {
       recorder_->instant(src, trace::Category::kNet, trace::names::kNetSuspect,
                          now, "dst", static_cast<std::uint64_t>(dst));
@@ -193,34 +162,24 @@ void Transport::maybe_suspect(ProcId src, ProcId dst, Cycles now) {
 }
 
 void Transport::on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
-                                bool exclusive,
                                 std::shared_ptr<sim::Engine::EventFn> fn) {
   if (plane_.crashed(dst, engine_.now())) {
     // A crashed NIC refuses the copy and sends no ack; the sender's
     // retransmissions deliver it after recovery.
-    ++recovery_for(dst).crash_drops;
+    ++rstats_.crash_drops;
     return;
   }
   if (plane_.paused(dst, engine_.now())) {
-    ++stats_for(dst).paused_deliveries;
-    const Cycles resume_at = plane_.pause_end(dst, engine_.now());
-    // The retry must keep running solo, or a held exclusive handler could be
-    // released from a concurrent event after the pause lifts.
-    auto retry = [this, src, dst, seq, exclusive, fn] {
-      on_data_arrival(src, dst, seq, exclusive, fn);
-    };
-    if (exclusive) {
-      engine_.schedule_exclusive(resume_at, std::move(retry));
-    } else {
-      engine_.schedule(resume_at, std::move(retry));
-    }
+    ++stats_.paused_deliveries;
+    engine_.schedule(plane_.pause_end(dst, engine_.now()),
+                     [this, src, dst, seq, fn] { on_data_arrival(src, dst, seq, fn); });
     return;
   }
   const std::size_t ch = channel(src, dst);
   RecvChannel& rc = recv_ch_[ch];
   const std::uint64_t key = pending_key(ch, seq);
   if (seq < rc.next_expected || rc.held.count(seq) != 0) {
-    ++stats_for(dst).dup_dropped;
+    ++stats_.dup_dropped;
     send_ack(dst, src, key);  // the ack for the earlier copy may have died
     return;
   }
@@ -236,36 +195,35 @@ void Transport::on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
       (*held)();
     }
   } else {
-    ++stats_for(dst).held_ooo;
+    ++stats_.held_ooo;
     rc.held.emplace(seq, std::move(fn));
   }
   send_ack(dst, src, key);
 }
 
 void Transport::send_ack(ProcId from, ProcId to, std::uint64_t key) {
-  TransportStats& st = stats_for(from);
-  ++st.acks;
+  ++stats_.acks;
   if (recorder_ != nullptr) {
     recorder_->instant(from, trace::Category::kNet, trace::names::kNetAck,
                        engine_.now(), "dst", static_cast<std::uint64_t>(to));
   }
   const FaultPlane::Decision d = plane_.decide(from, to);
-  if (d.delayed) ++st.delays_injected;
-  if (d.reordered) ++st.reorders_injected;
+  if (d.delayed) ++stats_.delays_injected;
+  if (d.reordered) ++stats_.reorders_injected;
   if (d.drop) {
-    ++st.drops_injected;
+    ++stats_.drops_injected;
     return;  // the sender retransmits; the receiver dedups
   }
   auto emit = [this, from, to](Cycles extra, std::uint64_t k) {
-    // Delivers at `to`, the original sender — the shard owner. A crashed
-    // original sender refuses the ack like any other inbound copy (its
-    // retransmit timer is already deferred to the window end).
+    // Delivers at `to`, the original sender. A crashed original sender
+    // refuses the ack like any other inbound copy (its retransmit timer is
+    // already deferred to the window end).
     auto deliver = [this, to, k] {
       if (plane_.crashed(to, engine_.now())) {
-        ++recovery_for(to).crash_drops;
+        ++rstats_.crash_drops;
         return;
       }
-      pending_shard(k).erase(k);
+      pending_.erase(k);
     };
     if (extra == 0) {
       mesh_.send(from, to, kAckBytes, std::move(deliver));
@@ -277,7 +235,7 @@ void Transport::send_ack(ProcId from, ProcId to, std::uint64_t key) {
     }
   };
   if (d.duplicate) {
-    ++st.dups_injected;
+    ++stats_.dups_injected;
     emit(d.extra_delay + kDuplicateOffset, key);
   }
   emit(d.extra_delay, key);
@@ -294,7 +252,7 @@ void Transport::send_best_effort(ProcId src, ProcId dst, std::size_t bytes,
     mesh_.send(src, dst, bytes, std::move(deliver));
     return;
   }
-  ++stats_for(src).push_sends;
+  ++stats_.push_sends;
   auto fn = std::make_shared<sim::Engine::EventFn>(std::move(deliver));
   // Arrival still honours a destination pause window; there is no dedup, so
   // a duplicated copy runs the handler twice (receivers are idempotent).
@@ -302,11 +260,11 @@ void Transport::send_best_effort(ProcId src, ProcId dst, std::size_t bytes,
     if (plane_.crashed(dst, engine_.now())) {
       // Best-effort copies have no retransmission: a crash-dropped push is
       // simply gone and the protocol's push-timeout fallback covers it.
-      ++recovery_for(dst).crash_drops;
+      ++rstats_.crash_drops;
       return;
     }
     if (plane_.paused(dst, engine_.now())) {
-      ++stats_for(dst).paused_deliveries;
+      ++stats_.paused_deliveries;
       const auto held = fn;
       engine_.schedule(plane_.pause_end(dst, engine_.now()), [held] { (*held)(); });
       return;
@@ -314,12 +272,11 @@ void Transport::send_best_effort(ProcId src, ProcId dst, std::size_t bytes,
     (*fn)();
   };
   const FaultPlane::Decision d = plane_.decide(src, dst);
-  TransportStats& st = stats_for(src);
-  if (d.delayed) ++st.delays_injected;
-  if (d.reordered) ++st.reorders_injected;
+  if (d.delayed) ++stats_.delays_injected;
+  if (d.reordered) ++stats_.reorders_injected;
   if (d.drop) {
-    ++st.drops_injected;
-    ++st.push_drops;
+    ++stats_.drops_injected;
+    ++stats_.push_drops;
     return;
   }
   auto emit = [this, src, dst, bytes, &arrival](Cycles extra) {
@@ -332,7 +289,7 @@ void Transport::send_best_effort(ProcId src, ProcId dst, std::size_t bytes,
     }
   };
   if (d.duplicate) {
-    ++st.dups_injected;
+    ++stats_.dups_injected;
     emit(d.extra_delay + kDuplicateOffset);
   }
   emit(d.extra_delay);

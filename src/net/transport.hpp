@@ -49,36 +49,17 @@ class Transport {
   /// Reliable send: `deliver` runs exactly once at the destination, in
   /// per-channel send order, regardless of injected faults. Self-messages
   /// and the disabled transport go straight to the mesh.
-  ///
-  /// `exclusive` marks the delivery (and every retransmitted copy of it) as
-  /// an exclusive event under the parallel engine; sequential runs ignore it.
-  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver,
-            bool exclusive = false);
-
-  /// Register, at startup before any traffic, a destination whose reliable
-  /// deliveries must all run exclusively when faults are enabled. Needed
-  /// because the receive channels release held out-of-order handlers inline
-  /// inside whichever carrier fills the gap: if any message to `dst` is
-  /// exclusive, every reliable carrier that could release it must run solo
-  /// too, and copies already in flight cannot be flagged after the fact.
-  /// No effect with faults disabled or under the sequential engine.
-  void mark_exclusive_dst(ProcId dst);
+  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver);
 
   /// Best-effort send: the copy may be dropped, duplicated, delayed or
   /// reordered; the receiver's handler must tolerate all of that.
   void send_best_effort(ProcId src, ProcId dst, std::size_t bytes,
                         sim::Engine::EventFn deliver);
 
-  /// Aggregate counters across all per-node shards.
-  TransportStats stats() const;
-
-  /// Counter shard owned by `node`. Every transport event executes at a
-  /// well-defined node (sends and retransmit timers at the source,
-  /// arrival-side bookkeeping at the destination), so in parallel engine
-  /// mode each shard is only ever touched by that node's worker.
-  TransportStats& stats_for(ProcId node) {
-    return stats_[static_cast<std::size_t>(node)];
-  }
+  /// Run-wide transport counters (protocols count push timeouts and
+  /// fallbacks here too, with faults disabled or not).
+  TransportStats& stats() { return stats_; }
+  const TransportStats& stats() const { return stats_; }
 
   /// Attach (or detach, with nullptr) a trace sink recording send /
   /// retransmit / ack instants; purely observational.
@@ -86,14 +67,10 @@ class Transport {
 
   // --- Crash plane ----------------------------------------------------------
 
-  /// Aggregate crash/recovery counters across all per-node shards.
-  RecoveryStats recovery() const;
-
-  /// Recovery counter shard owned by `node` (same ownership discipline as
-  /// stats_for: each shard is only touched by events executing at that node).
-  RecoveryStats& recovery_for(ProcId node) {
-    return rstats_[static_cast<std::size_t>(node)];
-  }
+  /// Run-wide crash/recovery counters (the transport counts crash drops and
+  /// suspicions; protocols count failovers, re-elections and requeues).
+  RecoveryStats& recovery() { return rstats_; }
+  const RecoveryStats& recovery() const { return rstats_; }
 
   /// Install the suspect callback: invoked once per (source, crashed
   /// destination, crash window) when `suspect_after` unacknowledged copies
@@ -119,7 +96,6 @@ class Transport {
     std::size_t bytes = 0;
     std::uint32_t seq = 0;
     int attempt = 0;  ///< copies injected so far minus one
-    bool exclusive = false;
     std::shared_ptr<sim::Engine::EventFn> deliver;
   };
 
@@ -133,13 +109,12 @@ class Transport {
 
   /// Put one copy of a message on the mesh after a fault decision; `fn`
   /// must be pause- and dedup-checked by the closure itself.
-  void inject_copy(ProcId src, ProcId dst, std::size_t bytes, bool exclusive,
-                   sim::Engine::EventFn fn);
+  void inject_copy(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn fn);
 
   void arm_timer(std::uint64_t key, int attempt);
   void timer_fire(std::uint64_t key, int attempt);
   void maybe_suspect(ProcId src, ProcId dst, Cycles now);
-  void on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq, bool exclusive,
+  void on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
                        std::shared_ptr<sim::Engine::EventFn> fn);
   void send_ack(ProcId from, ProcId to, std::uint64_t key);
 
@@ -150,24 +125,15 @@ class Transport {
   Cycles base_rto_;
   int backoff_cap_;
 
-  /// Retransmission shard holding `key`: its source node's. A message's
-  /// send, all of its retransmit timers, and the ack-triggered erase execute
-  /// at the source (the ack's mesh delivery lands there), so each shard is
-  /// single-node-owned.
-  std::unordered_map<std::uint64_t, Pending>& pending_shard(std::uint64_t key) {
-    return pending_[static_cast<std::size_t>(key >> 32) /
-                    static_cast<std::size_t>(nprocs_)];
-  }
-
   std::vector<SendChannel> send_ch_;
   std::vector<RecvChannel> recv_ch_;
-  std::vector<std::unordered_map<std::uint64_t, Pending>> pending_;
-  std::vector<TransportStats> stats_;
-  std::vector<RecoveryStats> rstats_;
-  std::vector<char> excl_dst_;  ///< per-dst: all reliable deliveries exclusive
-  /// Per-source memo of already-suspected (dst -> crash window end) pairs, so
-  /// one crash window raises at most one suspicion per directed channel.
-  /// Sharded by source like pending_ (timer events execute at the source).
+  /// Unacknowledged reliable messages by pending_key, until their ack lands.
+  std::unordered_map<std::uint64_t, Pending> pending_;
+  TransportStats stats_;
+  RecoveryStats rstats_;
+  /// Per-source memo of already-suspected (dst -> crash window end) pairs:
+  /// the suspicion is the source's verdict about one directed channel, and
+  /// one crash window raises at most one per channel.
   std::vector<std::unordered_map<ProcId, Cycles>> suspected_;
   std::function<void(ProcId, ProcId)> suspect_handler_;
   int suspect_after_;

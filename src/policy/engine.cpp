@@ -38,14 +38,10 @@ std::size_t PolicyEngine::trace_word() {
 
 void PolicyEngine::send_from_app(ProcId to, std::size_t bytes, Cycles svc_cost,
                                  std::function<void()> handler,
-                                 sim::Bucket bucket, bool exclusive) {
+                                 sim::Bucket bucket) {
   proc().advance(m_.params().message_overhead, bucket);
   proc().sync();
-  if (exclusive) {
-    m_.post_exclusive(self_, to, bytes, svc_cost, std::move(handler));
-  } else {
-    m_.post(self_, to, bytes, svc_cost, std::move(handler));
-  }
+  m_.post(self_, to, bytes, svc_cost, std::move(handler));
 }
 
 void PolicyEngine::post_dynamic(ProcId from, ProcId to, std::size_t bytes,
@@ -183,9 +179,9 @@ void PolicyEngine::clear_mgr_op_by_serial(LockId l, std::uint64_t serial) {
 }
 
 void PolicyEngine::on_peer_suspect(ProcId peer) {
-  // Timer context at this node: only node-local state (the op registry) and
-  // concurrent-read-safe state (the manager override table) may be touched.
-  // The election itself runs in an exclusive self-event.
+  // Timer context at this node: it only scans the op registry. The
+  // election itself runs in a self-posted event, serviced (and charged) on
+  // this node once the retransmit timer has returned.
   AECDSM_DEBUG("p" << self_ << " suspects p" << peer << " (" << mgr_ops_.size()
                    << " pending ops)");
   std::vector<LockId> locks;
@@ -196,22 +192,20 @@ void PolicyEngine::on_peer_suspect(ProcId peer) {
     locks.push_back(op.lock);
   }
   for (const LockId l : locks) {
-    m_.post_exclusive(self_, self_, kCtl,
-                      m_.params().list_processing_per_elem * 4,
-                      [this, l, peer] { begin_failover(l, peer); });
+    m_.post(self_, self_, kCtl, m_.params().list_processing_per_elem * 4,
+            [this, l, peer] { begin_failover(l, peer); });
   }
 }
 
 void PolicyEngine::on_recover() {
   // Engine-side at the recovered node. Re-reads the shared override table
-  // (concurrent-read-safe: writes happen only in exclusive events) so ops
-  // aimed at this node's own pre-crash managership chase the re-elected
-  // manager; the one-hop bounce in the manager handlers covers elections
-  // that land after this replay.
+  // so ops aimed at this node's own pre-crash managership chase the
+  // re-elected manager; the one-hop bounce in the manager handlers covers
+  // elections that land after this replay.
   for (auto& [id, op] : mgr_ops_) {
     const ProcId mgr = m_.lock_manager(op.lock);
     op.mgr = mgr;
-    ++m_.transport().recovery_for(self_).requeued_requests;
+    ++m_.transport().recovery().requeued_requests;
     AECDSM_DEBUG("p" << self_ << " recovers, replays op serial=" << op.serial
                      << " l" << op.lock << " to mgr p" << mgr);
     op.replay(mgr);
@@ -219,7 +213,6 @@ void PolicyEngine::on_recover() {
 }
 
 void PolicyEngine::begin_failover(LockId l, ProcId crashed) {
-  // Exclusive event: the machine is quiescent, cross-node reads are safe.
   if (m_.lock_manager(l) != crashed) return;  // a peer already failed it over
   const Cycles now = m_.engine().now();
   net::FaultPlane& plane = m_.transport().plane();
@@ -234,21 +227,20 @@ void PolicyEngine::begin_failover(LockId l, ProcId crashed) {
   if (successor == kNoProc) return;  // nobody live: stall until recovery
   AECDSM_DEBUG("p" << self_ << " failover l" << l << ": crashed mgr p"
                    << crashed << " -> successor p" << successor);
-  ++m_.transport().recovery_for(self_).failovers;
+  ++m_.transport().recovery().failovers;
   if (trace::Recorder* tr = m_.recorder()) {
     tr->instant(self_, trace::Category::kLock, trace::names::kLockFailover, now,
                 "lock", static_cast<std::uint64_t>(l), "crashed",
                 static_cast<std::uint64_t>(crashed));
   }
-  m_.post_exclusive(self_, successor, kCtl,
-                    m_.params().list_processing_per_elem * 4,
-                    [this, l, crashed, successor] {
-                      peer_engine(successor).handle_failover_request(l, crashed);
-                    });
+  m_.post(self_, successor, kCtl, m_.params().list_processing_per_elem * 4,
+          [this, l, crashed, successor] {
+            peer_engine(successor).handle_failover_request(l, crashed);
+          });
 }
 
 void PolicyEngine::handle_failover_request(LockId l, ProcId crashed) {
-  // Exclusive event at the elected successor.
+  // At the elected successor.
   if (m_.lock_manager(l) != crashed) return;  // duplicate election
   const Cycles now = m_.engine().now();
   net::FaultPlane& plane = m_.transport().plane();
@@ -257,7 +249,7 @@ void PolicyEngine::handle_failover_request(LockId l, ProcId crashed) {
                    << " (was p" << crashed << ")");
   m_.set_lock_manager_override(l, self_);
   migrate_lock_state(l, crashed, self_);
-  RecoveryStats& rs = m_.transport().recovery_for(self_);
+  RecoveryStats& rs = m_.transport().recovery();
   ++rs.reelections;
   rs.recovery_cycles += now - plane.crash_start(crashed, now);
   if (trace::Recorder* tr = m_.recorder()) {
@@ -284,7 +276,7 @@ void PolicyEngine::on_manager_change(LockId l, ProcId new_mgr) {
   for (auto& [id, op] : mgr_ops_) {
     if (op.lock != l || op.mgr == new_mgr) continue;
     op.mgr = new_mgr;
-    ++m_.transport().recovery_for(self_).requeued_requests;
+    ++m_.transport().recovery().requeued_requests;
     AECDSM_DEBUG("p" << self_ << " replays op serial=" << op.serial << " l"
                      << l << " to new mgr p" << new_mgr);
     op.replay(new_mgr);

@@ -93,8 +93,8 @@ void LockManagerEngine::send_release(LockId l, std::vector<PageId> pages,
   // lock to it directly — one point-to-point message carrying the release
   // page list plus the grant payload (the successor reads the holder map
   // from the shared record; the bytes model the grant delta it would have
-  // received from the manager). Runs as an exclusive event because the
-  // successor performs the manager-record bookkeeping on its own node.
+  // received from the manager). The successor performs the manager-record
+  // bookkeeping itself, on its own node.
   if (mcs_direct()) {
     if (auto lit = t.mcs_links.find(t.grant_counter); lit != t.mcs_links.end()) {
       const ProcId succ = lit->second;
@@ -104,7 +104,7 @@ void LockManagerEngine::send_release(LockId l, std::vector<PageId> pages,
                     [this, l, p = self_, pages, episode, succ] {
                       peer_core(succ).recv_direct_handoff(l, p, pages, episode);
                     },
-                    sim::Bucket::kSynch, /*exclusive=*/true);
+                    sim::Bucket::kSynch);
       return;
     }
   }
@@ -187,9 +187,8 @@ void LockManagerEngine::recv_direct_handoff(LockId l, ProcId releaser,
     return;
   }
 
-  // The manager's release + grant bookkeeping, performed here — this runs
-  // as an exclusive event, so mutating the manager's shard from the
-  // successor's node is safe. This node IS the grantee: no reply message.
+  // The manager's release + grant bookkeeping, performed here on the
+  // successor's node. This node IS the grantee: no reply message.
   note_release(rec, releaser, pages, episode);
   const ProcId to = rec.lap.dequeue_waiter();
   AECDSM_CHECK(to == self_);

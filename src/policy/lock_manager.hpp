@@ -80,11 +80,10 @@ struct LockRecord {
 };
 
 /// Run-wide lock records, sharded by manager node (lock % nprocs until a
-/// crash failover re-elects). Every handler that touches a lock's record
-/// runs as a service on its manager, so under the parallel engine each
-/// shard — including its lazy insertions — is only ever mutated by that
-/// node's worker. (The exceptions, the mcs direct hand-off and AEC's
-/// barrier chain reset, run as exclusive events.)
+/// crash failover re-elects). A record's shard says which manager holds
+/// its custody: handlers reach it through Machine::lock_manager(l), and
+/// failover reads the crashed manager's custody through find(l, crashed)
+/// (lock_sharers) before migrate() moves it to the successor.
 struct LockTable {
   LockTable(const SystemParams& p, const ConsistencyPolicy& pol);
 
@@ -110,7 +109,7 @@ struct LockTable {
 
   /// Crash failover: move lock `l`'s record between manager shards.
   /// Custody (affinity history, diff holders, owner) survives the fail-stop
-  /// window because the storage is shared host memory. Exclusive-event only.
+  /// window because the storage is shared host memory.
   void migrate(LockId l, ProcId from, ProcId to);
 
  private:
@@ -221,9 +220,9 @@ class LockManagerEngine : public PolicyEngine {
   /// queue successor is, so its release can hand the lock over directly.
   void recv_mcs_link(LockId l, std::uint32_t pred_counter, ProcId succ);
   /// mcs: direct lock hand-off from the releaser, bypassing the manager.
-  /// Runs as an exclusive event (it performs the manager-record bookkeeping
-  /// on the successor's node); self-validates against the shared record and
-  /// falls back to forwarding a plain release to the manager on mismatch.
+  /// Performs the manager-record bookkeeping on the successor's node;
+  /// self-validates against the shared record and falls back to forwarding
+  /// a plain release to the manager on mismatch.
   void recv_direct_handoff(LockId l, ProcId releaser, std::vector<PageId> pages,
                            std::uint32_t episode);
 

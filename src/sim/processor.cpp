@@ -26,7 +26,7 @@ void Processor::start(std::function<void()> body) {
 }
 
 void Processor::schedule_resume(Cycles t) {
-  engine_.schedule_for(id_, t, [this] {
+  engine_.schedule(t, [this] {
     if (crash_hold_) {
       const Cycles release = crash_hold_(engine_.now());
       if (release > engine_.now()) {

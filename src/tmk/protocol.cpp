@@ -304,13 +304,7 @@ void TmProtocol::acquire_notice(LockId l) {
   // TreadMarks itself ignores notices; they feed the scoring-only LAP
   // instance at the manager (paper §5.1 robustness study).
   send_from_app(m_.lock_manager(l), kCtl, m_.params().list_processing_per_elem,
-                [this, l, p = self_] {
-                  // Scoring-only state, mutated from several nodes' events
-                  // (manager and current owner): applied in commit order so
-                  // the parallel engine reproduces the sequential scores.
-                  m_.engine().at_commit(
-                      [this, l, p] { sh_->lap_of(l).add_notice(p); });
-                },
+                [this, l, p = self_] { sh_->lap_of(l).add_notice(p); },
                 sim::Bucket::kSynch);
 }
 
@@ -354,10 +348,9 @@ void TmProtocol::mgr_route_request(LockId l, ProcId requester,
                                    std::shared_ptr<VectorTime> req_vt,
                                    std::uint64_t serial, ProcId mgr_at) {
   // Manager: score the event, then route to the owner hint (or grant the
-  // very first request directly). LAP mutations go through at_commit
-  // (scoring-only state also touched by owner-side events). If a crash
-  // failover re-elected the manager after this message was sent, forward
-  // one hop: the hint shard now belongs to the new manager's worker.
+  // very first request directly). If a crash failover re-elected the
+  // manager after this message was sent, forward one hop: the hint now
+  // lives in the new manager's shard.
   const ProcId mgr = m_.lock_manager(l);
   if (mgr != mgr_at) {
     m_.post(mgr_at, mgr, kCtl + req_vt->size() * 4,
@@ -367,14 +360,12 @@ void TmProtocol::mgr_route_request(LockId l, ProcId requester,
             });
     return;
   }
-  m_.engine().at_commit([this, l] { sh_->lap_of(l).count_acquire_event(); });
-  std::map<LockId, ProcId>& hints = sh_->hint_shard(l, mgr);
+  sh_->lap_of(l).count_acquire_event();
+  std::map<LockId, ProcId>& hints = sh_->hint_shard(mgr);
   auto it = hints.find(l);
   if (it == hints.end()) {
     hints[l] = requester;
-    m_.engine().at_commit([this, l, requester] {
-      policy::lap_score_grant(sh_->lap_of(l), kNoProc, requester);
-    });
+    policy::lap_score_grant(sh_->lap_of(l), kNoProc, requester);
     m_.post(mgr, requester, kCtl, m_.params().list_processing_per_elem,
             [this, l, requester, serial] {
               peer(requester).recv_grant(l, {}, {}, serial);
@@ -396,7 +387,7 @@ void TmProtocol::mgr_set_hint(LockId l, ProcId p, ProcId mgr_at) {
             [this, l, p, mgr] { mgr_set_hint(l, p, mgr); });
     return;
   }
-  sh_->hint_shard(l, mgr)[l] = p;
+  sh_->hint_shard(mgr)[l] = p;
 }
 
 bool TmProtocol::duplicate_waiter(const LockLocal& ll, ProcId requester,
@@ -425,8 +416,7 @@ void TmProtocol::lock_request_arrive(LockId l, ProcId requester, VectorTime req_
       // request overtook it); park the request — it is served like any
       // queued waiter once the grant lands and the critical section ends.
       if (duplicate_waiter(ll, requester, serial)) return;
-      m_.engine().at_commit(
-          [this, l, requester] { sh_->lap_of(l).enqueue_waiter(requester); });
+      sh_->lap_of(l).enqueue_waiter(requester);
       ll.waiting.push_back(Waiter{requester, std::move(req_vt), serial});
       trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
                     ll.waiting.size());
@@ -444,8 +434,7 @@ void TmProtocol::lock_request_arrive(LockId l, ProcId requester, VectorTime req_
   }
   if (ll.in_cs) {
     if (duplicate_waiter(ll, requester, serial)) return;
-    m_.engine().at_commit(
-        [this, l, requester] { sh_->lap_of(l).enqueue_waiter(requester); });
+    sh_->lap_of(l).enqueue_waiter(requester);
     ll.waiting.push_back(Waiter{requester, std::move(req_vt), serial});
     trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
                   ll.waiting.size());
@@ -469,9 +458,7 @@ void TmProtocol::serve_grant(LockId l, ProcId requester, const VectorTime& req_v
   }
 
   // Score LAP against realized transfers (TreadMarks never acts on it).
-  m_.engine().at_commit([this, l, requester] {
-    policy::lap_score_grant(sh_->lap_of(l), self_, requester);
-  });
+  policy::lap_score_grant(sh_->lap_of(l), self_, requester);
 
   ll.owner = false;
   ll.handed_to = requester;
@@ -537,13 +524,13 @@ void TmProtocol::recv_grant(LockId l, std::vector<NoticeEntry> entries,
       if (!ll.waiting.empty()) {
         Waiter head = std::move(ll.waiting.front());
         ll.waiting.pop_front();
-        m_.engine().at_commit([this, l] { sh_->lap_of(l).dequeue_waiter(); });
+        sh_->lap_of(l).dequeue_waiter();
         std::deque<Waiter> rest;
         rest.swap(ll.waiting);
         trace_counter(trace::names::kLockQueueDepth, m_.engine().now(), 0);
         serve_grant(l, head.p, head.vt, /*engine_side=*/true, head.serial);
         for (Waiter& w : rest) {
-          m_.engine().at_commit([this, l] { sh_->lap_of(l).dequeue_waiter(); });
+          sh_->lap_of(l).dequeue_waiter();
           m_.post(self_, head.p, kCtl + w.vt.size() * 4,
                   m_.params().list_processing_per_elem * 2,
                   [this, l, q = head.p, w = std::move(w)]() mutable {
@@ -585,14 +572,14 @@ void TmProtocol::release(LockId l) {
     const ProcId q = head.p;
     ll.waiting.pop_front();
     // The scorer's FIFO mirrors this queue.
-    m_.engine().at_commit([this, l] { sh_->lap_of(l).dequeue_waiter(); });
+    sh_->lap_of(l).dequeue_waiter();
     serve_grant(l, q, head.vt, /*engine_side=*/false, head.serial);
     // Remaining waiters chase the new owner.
     std::deque<Waiter> rest;
     rest.swap(ll.waiting);
     trace_counter(trace::names::kLockQueueDepth, proc().now(), 0);
     for (Waiter& w : rest) {
-      m_.engine().at_commit([this, l] { sh_->lap_of(l).dequeue_waiter(); });
+      sh_->lap_of(l).dequeue_waiter();
       proc().advance(m_.params().message_overhead, sim::Bucket::kSynch);
       proc().sync();
       m_.transport().send(self_, q, kCtl + w.vt.size() * 4,
@@ -621,8 +608,7 @@ void TmProtocol::requeue_request(LockId l, ProcId requester, VectorTime req_vt,
       // Grant in flight to this node; park the request (see
       // lock_request_arrive).
       if (duplicate_waiter(ll, requester, serial)) return;
-      m_.engine().at_commit(
-          [this, l, requester] { sh_->lap_of(l).enqueue_waiter(requester); });
+      sh_->lap_of(l).enqueue_waiter(requester);
       ll.waiting.push_back(Waiter{requester, std::move(req_vt), serial});
       trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
                     ll.waiting.size());
@@ -640,8 +626,7 @@ void TmProtocol::requeue_request(LockId l, ProcId requester, VectorTime req_vt,
   }
   if (ll.in_cs) {
     if (duplicate_waiter(ll, requester, serial)) return;
-    m_.engine().at_commit(
-        [this, l, requester] { sh_->lap_of(l).enqueue_waiter(requester); });
+    sh_->lap_of(l).enqueue_waiter(requester);
     ll.waiting.push_back(Waiter{requester, std::move(req_vt), serial});
     trace_counter(trace::names::kLockQueueDepth, m_.engine().now(),
                   ll.waiting.size());
@@ -652,10 +637,10 @@ void TmProtocol::requeue_request(LockId l, ProcId requester, VectorTime req_vt,
 
 std::vector<ProcId> TmProtocol::lock_sharers(LockId l, ProcId crashed) {
   // TreadMarks' manager state is just the owner hint; the last known owner
-  // is the only node with lock-specific custody. (Exclusive-event context:
-  // reading the crashed node's shard is safe.)
+  // is the only node with lock-specific custody, read from the crashed
+  // manager's shard.
   std::vector<ProcId> out;
-  auto& hints = sh_->hint_shard(l, crashed);
+  auto& hints = sh_->hint_shard(crashed);
   auto it = hints.find(l);
   if (it != hints.end()) out.push_back(it->second);
   return out;

@@ -68,25 +68,19 @@ struct TmShared {
   std::vector<TmProtocol*> nodes;
 
   /// Manager-side owner hints (start: manager grants first requester),
-  /// sharded by manager node (lock % nprocs): every hint access runs as a
-  /// service on the lock's manager, so under the parallel engine each shard
-  /// — including its lazy insertions — belongs to one node's worker.
+  /// sharded by manager node (lock % nprocs until a crash failover
+  /// re-elects). A hint's shard says which manager holds its custody:
+  /// lock_sharers reads the crashed manager's hint from its shard, and
+  /// failover moves it to the successor's.
   std::vector<std::map<LockId, ProcId>> owner_hint;
 
-  std::map<LockId, ProcId>& hint_shard(LockId l) {
-    return owner_hint[static_cast<std::size_t>(
-        l % static_cast<LockId>(params.num_procs))];
-  }
-
-  /// Manager-aware variant: after a crash failover the hint lives in the
-  /// re-elected manager's shard (handlers pass Machine::lock_manager(l)).
-  std::map<LockId, ProcId>& hint_shard(LockId l, ProcId mgr) {
-    (void)l;
+  /// Owner hints held by manager `mgr` (handlers pass
+  /// Machine::lock_manager(l)).
+  std::map<LockId, ProcId>& hint_shard(ProcId mgr) {
     return owner_hint[static_cast<std::size_t>(mgr)];
   }
 
-  /// Crash failover: move the owner hint between manager shards
-  /// (exclusive-event only).
+  /// Crash failover: move the owner hint between manager shards.
   void migrate_hint(LockId l, ProcId from, ProcId to) {
     auto node = owner_hint[static_cast<std::size_t>(from)].extract(l);
     if (!node.empty()) owner_hint[static_cast<std::size_t>(to)].insert(std::move(node));
@@ -105,11 +99,8 @@ struct TmShared {
     std::vector<NoticeEntry> entries;
   } barrier;
 
-  /// Scoring-only LAP instances (paper §5.1: LAP accuracy under TreadMarks).
-  /// Mutated by events at the manager *and* the current owner, so every
-  /// write goes through Engine::at_commit: under the parallel engine the
-  /// mutations apply serially at replay, in sequential event order, and the
-  /// map (including lazy insertion) is never touched concurrently.
+  /// Scoring-only LAP instances (paper §5.1: LAP accuracy under TreadMarks),
+  /// mutated by events at the manager and at the current owner.
   std::map<LockId, policy::LockLap> lap;
 
   policy::LockLap& lap_of(LockId l) {
@@ -143,8 +134,7 @@ class TmProtocol : public policy::PolicyEngine {
   /// for conflicting words (concurrent diffs touch disjoint words in
   /// data-race-free programs). The tag is therefore (creation time, node,
   /// per-node counter): any refinement of time order works, and this one
-  /// needs no cross-node counter, so every node mints identical tags under
-  /// the sequential and the parallel engine. Per-page vector-time tags are
+  /// needs no cross-node counter. Per-page vector-time tags are
   /// NOT sound here: a page shared by several locks can carry concurrent
   /// intervals whose clock sums tie or invert relative to a single word's
   /// chain.

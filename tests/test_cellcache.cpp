@@ -169,45 +169,6 @@ TEST(CellCache, WarmRunIsByteIdenticalAndSimulatesNothing) {
   fs::remove_all(dir);
 }
 
-TEST(CellCache, EngineThreadsNeverForkTheCacheKey) {
-  // Audit for the parallel engine mode: the cell hash is computed from the
-  // cell alone (protocol/app/scale/params/seed + version salt) — a cell
-  // carries no engine-thread count, so a parallel run MUST hit the blobs a
-  // sequential run stored, and serve byte-identical documents.
-  const std::string dir = fresh_cache_dir("threads_key");
-  harness::ExperimentPlan plan;
-  plan.name = "threads_key";
-  plan.add("AEC", "IS", apps::Scale::kSmall, small_params(4));
-  plan.add("TreadMarks", "IS", apps::Scale::kSmall, small_params(4));
-
-  auto doc_with = [&](int engine_threads, bool refresh) {
-    harness::BatchOptions opts;
-    opts.jobs = 1;
-    opts.cache_dir = dir;
-    opts.engine_threads = engine_threads;
-    opts.refresh = refresh;
-    harness::BatchRunner runner(opts);
-    const auto results = runner.run(plan);
-    return std::make_pair(harness::BatchRunner::document(plan, results).dump(),
-                          runner.last_run_info());
-  };
-
-  const auto [cold_seq, cold_info] = doc_with(1, false);
-  EXPECT_EQ(cold_info.simulated, plan.cells.size());
-  // Parallel run: every cell is a warm hit on the sequential run's blobs.
-  const auto [warm_par, warm_info] = doc_with(4, false);
-  EXPECT_EQ(warm_info.cache_hits, plan.cells.size());
-  EXPECT_EQ(warm_par, cold_seq);
-  // And a parallel re-simulation stores blobs the sequential run hits.
-  const auto [cold_par, par_info] = doc_with(4, true);
-  EXPECT_EQ(par_info.simulated, plan.cells.size());
-  EXPECT_EQ(cold_par, cold_seq);
-  const auto [warm_seq, seq_info] = doc_with(1, false);
-  EXPECT_EQ(seq_info.cache_hits, plan.cells.size());
-  EXPECT_EQ(warm_seq, cold_seq);
-  fs::remove_all(dir);
-}
-
 TEST(CellCache, VerifyCacheAcceptsSoundBlobsAndRejectsTamperedOnes) {
   const std::string dir = fresh_cache_dir("verify");
   harness::ExperimentPlan plan;
